@@ -4,9 +4,12 @@ The Gaussian variational family is parameterized through the precision
 matrix Omega = T T^t with T lower triangular.  For two-tier hierarchical
 models (local blocks b_1..b_n followed by a global tail) the conditional
 independence structure makes T block banded: diagonal blocks, sub-diagonal
-blocks up to the Markov order, and dense global rows.  This module owns
-that pattern, the factor storage, triangular solves and the log-diagonal
-reparameterization that keeps T_ii positive during stochastic optimization.
+blocks up to the Markov order, and dense global rows.  T = [[T_LL, 0],
+[T_GL, T_GG]] is therefore stored as T_LL in LAPACK lower-band form plus
+the dense global rows, and a solve is one banded solve (dtbtrs) plus one
+dense triangular solve on the tail (dtrtrs).  This module owns the pattern,
+that storage, the solves and the log-diagonal reparameterization that keeps
+T_ii positive during stochastic optimization.
 
 Patterns and factors are immutable value types; solves never mutate them.
 """
@@ -16,16 +19,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
+from scipy.linalg import lapack
 
 # exp(STAR_DIAG_FLOOR) is the smallest diagonal we allow; anything lower is
 # clamped so the factor never underflows to an exactly singular matrix.
 STAR_DIAG_FLOOR = -700.0
 SINGULAR_TOL = 1e-300
-# Factors up to this dimension solve through a cached dense matrix (LAPACK);
-# larger factors go through scipy.sparse triangular solves, linear in nnz.
-DENSE_SOLVE_CUTOFF = 400
 
 
 class SingularFactorError(ValueError):
@@ -60,11 +59,22 @@ class SparsityPattern:
         return np.flatnonzero(self.rows == self.cols)
 
     @cached_property
-    def slot_of(self) -> np.ndarray:
-        """Dense (dim, dim) map position -> slot, -1 off pattern."""
-        m = np.full((self.dim, self.dim), -1, dtype=np.int64)
-        m[self.rows, self.cols] = np.arange(self.nnz)
-        return m
+    def band_layout(self) -> tuple[int, int, np.ndarray]:
+        """(n_local, kd, pos): slot k of a factor lives at buf[pos[k]].
+
+        buf is the LAPACK lower band ab (kd + 1, n_local) of T_LL, then the global
+        rows [T_GL, T_GG], both in Fortran order.  The tail holds at least the last
+        row; when the band would cover the whole local part, n_local is 0.
+        """
+        r, c = self.rows, self.cols
+        n_local = self.dim - max(self.global_dim, 1)
+        kd = int(np.max((r - c)[r < n_local], initial=0))
+        if kd >= n_local - 1:
+            n_local, kd = 0, 0
+        band = (kd + 1) * n_local
+        pos = np.where(r < n_local, r - c + c * (kd + 1),
+                       band + r - n_local + c * (self.dim - n_local))
+        return n_local, kd, pos
 
     def descriptor(self) -> dict:
         return {
@@ -88,9 +98,11 @@ class SparsityPattern:
         )
 
 
-def _sorted_pattern(rows, cols):
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+def _envelope(first: np.ndarray):
+    """Slots of a lower triangle whose row r spans columns first[r]..r, column-major."""
+    counts = np.arange(first.size) - first + 1
+    rows = np.repeat(np.arange(first.size), counts)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
     order = np.lexsort((rows, cols))  # column-major within the lower triangle
     return rows[order], cols[order]
 
@@ -114,29 +126,12 @@ def build_pattern(n_blocks: int, block_dims, global_dim: int, markov_order: int)
     if markov_order >= n_blocks:
         raise ValueError(f"markov_order={markov_order} must be < n_blocks={n_blocks}")
 
-    offsets = np.concatenate([[0], np.cumsum(block_dims)]).astype(int)
-    g_off = int(offsets[-1])
-    dim = g_off + int(global_dim)
-
-    rows, cols = [], []
-
-    def add_block(r0, r1, c0, c1, tri=False):
-        for c in range(c0, c1):
-            lo = max(r0, c) if tri else r0
-            for r in range(lo, r1):
-                rows.append(r)
-                cols.append(c)
-
-    for i in range(n_blocks):
-        add_block(offsets[i], offsets[i + 1], offsets[i], offsets[i + 1], tri=True)
-        for j in range(max(0, i - markov_order), i):
-            add_block(offsets[i], offsets[i + 1], offsets[j], offsets[j + 1])
-    if global_dim > 0:
-        for j in range(n_blocks):
-            add_block(g_off, dim, offsets[j], offsets[j + 1])
-        add_block(g_off, dim, g_off, dim, tri=True)
-
-    r, c = _sorted_pattern(rows, cols)
+    # rows are contiguous: block i's rows start at block i - markov_order, global rows at 0
+    offsets = np.concatenate([[0], np.cumsum(block_dims)]).astype(np.int64)
+    dim = int(offsets[-1]) + int(global_dim)
+    block_of_row = np.repeat(np.arange(n_blocks), block_dims)
+    r, c = _envelope(np.concatenate([offsets[np.maximum(block_of_row - markov_order, 0)],
+                                     np.zeros(global_dim, dtype=np.int64)]))
     return SparsityPattern(
         kind="blocks",
         n_blocks=n_blocks,
@@ -153,12 +148,7 @@ def build_dense_pattern(dim: int) -> SparsityPattern:
     """Full lower triangle; fallback when the precision has no sparse structure."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rows, cols = [], []
-    for c in range(dim):
-        for r in range(c, dim):
-            rows.append(r)
-            cols.append(c)
-    r, c = _sorted_pattern(rows, cols)
+    r, c = _envelope(np.zeros(dim, dtype=np.int64))
     return SparsityPattern(
         kind="dense",
         n_blocks=1,
@@ -181,10 +171,7 @@ def vech_gather(mat: np.ndarray, pattern: SparsityPattern):
     if mat.shape != (pattern.dim, pattern.dim):
         raise ValueError(f"matrix shape {mat.shape} does not match pattern dim {pattern.dim}")
     vec = mat[pattern.rows, pattern.cols].copy()
-    on_pattern = np.zeros_like(mat, dtype=bool)
-    on_pattern[pattern.rows, pattern.cols] = True
-    n_dropped = int(np.count_nonzero(mat[~on_pattern]))
-    return vec, n_dropped
+    return vec, int(np.count_nonzero(mat) - np.count_nonzero(vec))
 
 
 def vech_scatter(vec: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
@@ -205,15 +192,15 @@ class CholFactor:
     at construction; factors are treated as immutable afterwards.
     """
 
-    __slots__ = ("pattern", "values", "star_values", "_dense", "_csr", "_csr_t")
+    __slots__ = ("pattern", "values", "star_values", "_parts", "_singular")
 
     def __init__(self, pattern: SparsityPattern, values: np.ndarray, star_values: np.ndarray):
         self.pattern = pattern
         self.values = values
         self.star_values = star_values
-        self._dense = None
-        self._csr = None
-        self._csr_t = None
+        self._parts = None
+        # LAPACK would return inf without complaint; checked once per factor
+        self._singular = bool(np.any(values[pattern.diag_slots] < SINGULAR_TOL))
 
     @classmethod
     def from_values(cls, pattern: SparsityPattern, values) -> "CholFactor":
@@ -257,67 +244,83 @@ class CholFactor:
         return float(np.sum(self.star_values[self.pattern.diag_slots]))
 
     def as_dense(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = vech_scatter(self.values, self.pattern)
-        return self._dense
+        """Dense (dim, dim) T (diagnostic and test use only)."""
+        return vech_scatter(self.values, self.pattern)
 
-    def _sparse(self):
-        if self._csr is None:
-            p = self.pattern
-            self._csr = scipy.sparse.csr_matrix(
-                (self.values, (p.rows, p.cols)), shape=(p.dim, p.dim)
-            )
-            self._csr_t = self._csr.T.tocsr()
-        return self._csr, self._csr_t
+    def _split(self):
+        """(ab, T_G): `values` scattered by the pattern's band_layout, once."""
+        if self._parts is None:
+            n_local, kd, pos = self.pattern.band_layout
+            band = (kd + 1) * n_local
+            buf = np.zeros(band + (self.dim - n_local) * self.dim)
+            buf[pos] = self.values
+            self._parts = (buf[:band].reshape((kd + 1, n_local), order="F"),
+                           buf[band:].reshape((self.dim - n_local, self.dim), order="F"))
+        return self._parts
 
     def _check_diag(self):
-        if np.any(np.abs(self.diag) < SINGULAR_TOL):
+        if self._singular:
             raise SingularFactorError("factor diagonal below 1e-300; solve would overflow")
 
     def solve_lower(self, b: np.ndarray) -> np.ndarray:
         """x with T x = b (forward substitution; b may be a matrix of columns)."""
         self._check_diag()
         b = np.asarray(b, dtype=float)
-        if self.dim <= DENSE_SOLVE_CUTOFF:
-            return scipy.linalg.solve_triangular(self.as_dense(), b, lower=True)
-        csr, _ = self._sparse()
-        return scipy.sparse.linalg.spsolve_triangular(csr, b, lower=True)
+        ab, t_g = self._split()
+        nl = ab.shape[1]
+        if nl == 0:
+            return _solved(lapack.dtrtrs(t_g, b, lower=1))
+        x_l = _solved(lapack.dtbtrs(ab, b[:nl], uplo="L"))
+        x_g = _solved(lapack.dtrtrs(t_g[:, nl:], b[nl:] - t_g[:, :nl] @ x_l, lower=1,
+                                    overwrite_b=1))
+        return np.concatenate([x_l, x_g])
 
     def solve_upper_transpose(self, b: np.ndarray) -> np.ndarray:
         """x with T^t x = b (back substitution; b may be a matrix of columns)."""
         self._check_diag()
         b = np.asarray(b, dtype=float)
-        if self.dim <= DENSE_SOLVE_CUTOFF:
-            return scipy.linalg.solve_triangular(self.as_dense(), b, lower=True, trans="T")
-        _, csr_t = self._sparse()
-        return scipy.sparse.linalg.spsolve_triangular(csr_t, b, lower=False)
+        ab, t_g = self._split()
+        nl = ab.shape[1]
+        if nl == 0:
+            return _solved(lapack.dtrtrs(t_g, b, lower=1, trans=1))
+        x_g = _solved(lapack.dtrtrs(t_g[:, nl:], b[nl:], lower=1, trans=1))
+        x_l = _solved(lapack.dtbtrs(ab, b[:nl] - t_g[:, :nl].T @ x_g, uplo="L", trans="T",
+                                    overwrite_b=1))
+        return np.concatenate([x_l, x_g])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """T @ x without densifying when the factor is large."""
-        if self.dim <= DENSE_SOLVE_CUTOFF:
-            return self.as_dense() @ x
-        csr, _ = self._sparse()
-        return csr @ x
+        """T @ x (x may be a matrix of columns)."""
+        x = np.asarray(x, dtype=float)
+        ab, t_g = self._split()
+        nl = ab.shape[1]
+        xt = x[:nl].T  # band diagonals broadcast along the last axis
+        y = ab[0] * xt
+        for k in range(1, ab.shape[0]):
+            y[..., k:] += ab[k, :nl - k] * xt[..., :nl - k]
+        return np.concatenate([y.T, t_g @ x])
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """T^t @ x."""
-        if self.dim <= DENSE_SOLVE_CUTOFF:
-            return self.as_dense().T @ x
-        _, csr_t = self._sparse()
-        return csr_t @ x
+        """T^t @ x (x may be a matrix of columns)."""
+        x = np.asarray(x, dtype=float)
+        ab, t_g = self._split()
+        nl = ab.shape[1]
+        z = t_g.T @ x[nl:]
+        xt, zt = x[:nl].T, z[:nl].T  # zt writes through to z
+        for k in range(ab.shape[0]):
+            zt[..., :nl - k] += ab[k, :nl - k] * xt[..., k:]
+        return z
 
     def precision(self) -> np.ndarray:
         """Dense Omega = T T^t (diagnostic use only)."""
-        t = self.as_dense() if self.dim <= DENSE_SOLVE_CUTOFF else self._sparse()[0].toarray()
+        t = self.as_dense()
         return t @ t.T
 
 
-def solve_lower(factor: CholFactor, b: np.ndarray) -> np.ndarray:
-    return factor.solve_lower(b)
-
-
-def solve_upper_transpose(factor: CholFactor, b: np.ndarray) -> np.ndarray:
-    return factor.solve_upper_transpose(b)
+def _solved(x_info):
+    x, info = x_info
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed, LAPACK info={info}")
+    return x
 
 
 @dataclass(frozen=True)

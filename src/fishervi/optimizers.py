@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import CholFactor, DiagScaler, SparsityPattern
+from .linalg import CholFactor, DiagScaler, SingularFactorError, SparsityPattern
 from .targets import GaussianTarget, LOG_2PI
 
 ALG1_DIVERGENCES = ("KLD", "FDr", "SDr")
@@ -30,7 +30,7 @@ MAX_CONSECUTIVE_REJECTS = 50
 
 
 class FitAbortedError(RuntimeError):
-    """More than MAX_CONSECUTIVE_REJECTS non-finite steps in a row."""
+    """More than MAX_CONSECUTIVE_REJECTS rejected (non-finite or singular) steps in a row."""
 
 
 class IllConditionedUpdate(RuntimeError):
@@ -197,23 +197,21 @@ def gradient_alg2(mu, factor, model, divergence, z_mat):
     gc = g_mat - g_bar[:, None]          # (d, B) factor of C_g / C_theta_g
     delta = mu - theta_bar
 
-    g_mu = 2.0 * factor.matvec(factor.rmatvec(delta)) - 2.0 * g_bar
-
     t_tc = factor.rmatvec(tc)            # T^t Theta_c, (d, B)
     t_delta = factor.rmatvec(delta)      # T^t delta
+    g_mu = 2.0 * factor.matvec(t_delta) - 2.0 * g_bar
     # (U T)[slots] with U = C_theta + delta delta^t
     ut_slots = (np.einsum("ij,ij->i", tc[rows, :], t_tc[cols, :]) / b
                 + delta[rows] * t_delta[cols])
 
     if divergence == "SDb":
         desc_mu = g_mu
-        # Sigma V T^{-t} with V = C_g + g_bar g_bar^t, via triangular solves
-        s_gc = factor.solve_lower(gc)            # T^{-1} G_c
-        sig_gc = factor.solve_upper_transpose(s_gc)
-        s_gbar = factor.solve_lower(g_bar)
-        sig_gbar = factor.solve_upper_transpose(s_gbar)
-        svt_slots = (np.einsum("ij,ij->i", sig_gc[rows, :], s_gc[cols, :]) / b
-                     + sig_gbar[rows] * s_gbar[cols])
+        # Sigma V T^{-t} with V = C_g + g_bar g_bar^t, via two triangular
+        # solves on the stacked right-hand side [G_c, g_bar]
+        s = factor.solve_lower(np.column_stack([gc, g_bar]))   # T^{-1} [G_c, g_bar]
+        sig = factor.solve_upper_transpose(s)
+        svt_slots = (np.einsum("ij,ij->i", sig[rows, :b], s[cols, :b]) / b
+                     + sig[rows, b] * s[cols, b])
         desc_t = dscale.apply(2.0 * (ut_slots - svt_slots))
         return desc_mu, desc_t, theta_mat
 
@@ -418,7 +416,7 @@ def fit(model, config: FitConfig) -> FitResult:
     window_count = 0
     rejected = 0
     consecutive_rejects = 0
-    last_lb = 0.0
+    last_lb = None
     stop_reason = "max_iter"
     t0 = time.perf_counter()
     iterations = 0
@@ -431,28 +429,27 @@ def fit(model, config: FitConfig) -> FitResult:
                                                    config.divergence, z)
                 z_lb = rng.standard_normal(state.mu.size)
                 theta_lb = state.mu + state.factor.solve_upper_transpose(z_lb)
-                lb = lower_bound(state.mu, state.factor, model, theta_lb)
-                state = _advance(state, desc_mu, desc_t)
             else:
                 z = rng.standard_normal(state.mu.size)
-                desc_mu, desc_t, theta = gradient_alg1(state.mu, state.factor, model,
-                                                       config.divergence, z)
-                lb = lower_bound(state.mu, state.factor, model, theta)
-                state = _advance(state, desc_mu, desc_t)
+                desc_mu, desc_t, theta_lb = gradient_alg1(state.mu, state.factor, model,
+                                                          config.divergence, z)
+            lb = lower_bound(state.mu, state.factor, model, theta_lb)
+            state = _advance(state, desc_mu, desc_t)
             if not np.isfinite(lb):
                 raise FloatingPointError("non-finite lower bound")
             last_lb = lb
             consecutive_rejects = 0
-        except FloatingPointError:
+        except (FloatingPointError, SingularFactorError):
             rejected += 1
             consecutive_rejects += 1
             state = VariationalState(state.mu, state.factor, state.adadelta,
                                      state.iteration + 1)
-            lb = last_lb
+            lb = 0.0 if last_lb is None else last_lb
             if consecutive_rejects > MAX_CONSECUTIVE_REJECTS:
+                last = "no step succeeded" if last_lb is None else f"last lower bound {lb:.6g}"
                 raise FitAbortedError(
                     f"{consecutive_rejects} consecutive rejected steps at iteration {it} "
-                    f"({config.divergence}); last lower bound {last_lb:.6g}")
+                    f"({config.divergence}); {last}")
         iterations = it
         window_sum += lb
         window_count += 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fishervi.linalg import (
     CholFactor,
@@ -119,6 +121,36 @@ class TestSolves:
         f = CholFactor.from_values(p, values)
         b = rng.standard_normal((5, 3))
         np.testing.assert_allclose(f.as_dense() @ f.solve_lower(b), b, atol=1e-12)
+
+
+@st.composite
+def block_patterns(draw):
+    n_blocks = draw(st.integers(1, 6))
+    block_dims = draw(st.lists(st.integers(1, 4), min_size=n_blocks, max_size=n_blocks))
+    global_dim = draw(st.integers(0, 4))
+    markov_order = draw(st.integers(0, n_blocks - 1))
+    return build_pattern(n_blocks, block_dims, global_dim, markov_order)
+
+
+class TestBandTailSolver:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(pattern=st.one_of(block_patterns(), st.integers(1, 8).map(build_dense_pattern)),
+           n_rhs=st.sampled_from([None, 1, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_products_and_solves_match_dense(self, pattern, n_rhs, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(pattern.nnz) * 0.2
+        values[pattern.diag_slots] = 1.0 + rng.random(pattern.diag_slots.size)
+        f = CholFactor.from_values(pattern, values)
+        t = f.as_dense()
+        shape = (pattern.dim,) if n_rhs is None else (pattern.dim, n_rhs)
+        x = rng.standard_normal(shape)
+        tx, ttx = f.matvec(x), f.rmatvec(x)
+        assert tx.shape == shape and ttx.shape == shape
+        np.testing.assert_allclose(tx, t @ x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ttx, t.T @ x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(f.solve_lower(tx), x, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(f.solve_upper_transpose(ttx), x, rtol=1e-9, atol=1e-9)
 
 
 class TestPrecisionSparsity:

@@ -352,6 +352,16 @@ class TestFit:
         with pytest.raises(FitAbortedError):
             fit(BrokenModel(), cfg)
 
+    @pytest.mark.parametrize("divergence", ["KLD", "SDb"])
+    def test_singular_initial_factor_aborts(self, divergence):
+        # T = 1e-305 I is below the solve's singularity threshold: every step
+        # is rejected, none ever succeeds, and the fit aborts instead of
+        # letting SingularFactorError escape
+        target = GaussianTarget(np.zeros(3), np.eye(3))
+        cfg = FitConfig(divergence, seed=0, init_t_scale=1e-305)
+        with pytest.raises(FitAbortedError, match="no step succeeded"):
+            fit(target, cfg)
+
     def test_lower_bound_estimate(self, rng):
         # at q = p the one-sample lower bound equals log p(y) = 0 for a
         # normalized Gaussian target, for every draw
