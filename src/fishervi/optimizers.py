@@ -187,9 +187,7 @@ def gradient_alg2(mu, factor, model, divergence, z_mat):
     b = z_mat.shape[1]
 
     theta_mat = mu[:, None] + factor.solve_upper_transpose(z_mat)
-    g_mat = np.empty_like(theta_mat)
-    for i in range(b):
-        g_mat[:, i] = model.grad_log_h(theta_mat[:, i])
+    g_mat = model.grad_log_h(theta_mat)
 
     theta_bar = theta_mat.mean(axis=1)
     g_bar = g_mat.mean(axis=1)
@@ -380,10 +378,10 @@ class FitResult:
 
 
 def default_batch_size(model, divergence: str) -> int:
+    """1 for Algorithm 1; else the target's `default_batch_size`, or 5."""
     if divergence in ALG1_DIVERGENCES:
         return 1
-    name = type(model).__name__
-    return {"LogisticModel": 3, "GlmmModel": 5, "SvModel": 10}.get(name, 5)
+    return getattr(model, "default_batch_size", 5)
 
 
 def _ols_slope(values) -> float:
@@ -434,9 +432,10 @@ def fit(model, config: FitConfig) -> FitResult:
                 desc_mu, desc_t, theta_lb = gradient_alg1(state.mu, state.factor, model,
                                                           config.divergence, z)
             lb = lower_bound(state.mu, state.factor, model, theta_lb)
-            state = _advance(state, desc_mu, desc_t)
+            # checked before the advance, so a rejected step leaves (mu, T*) as they were
             if not np.isfinite(lb):
                 raise FloatingPointError("non-finite lower bound")
+            state = _advance(state, desc_mu, desc_t)
             last_lb = lb
             consecutive_rejects = 0
         except (FloatingPointError, SingularFactorError):
@@ -518,10 +517,7 @@ def bam_step(mu, sigma, model, batch_size: int, t: int, rng):
     chol = np.linalg.cholesky(sigma)
     z = rng.standard_normal((batch_size, d))
     theta_mat = (mu[None, :] + z @ chol.T).T
-    g_mat = np.empty_like(theta_mat)
-    for i in range(batch_size):
-        g_mat[:, i] = model.grad_log_h(theta_mat[:, i])
-    stats = compute_batch_stats(theta_mat, g_mat)
+    stats = compute_batch_stats(theta_mat, model.grad_log_h(theta_mat))
     rho = batch_size * d / t
     return bam_update_from_stats(stats, mu, sigma, rho)
 
@@ -569,8 +565,7 @@ def sdb_natural_step(mu, sigma, target: GaussianTarget, rho: float,
         chol = np.linalg.cholesky(sigma)
         z = rng.standard_normal((batch_size, mu.size))
         theta_mat = (mu[None, :] + z @ chol.T).T
-        g_mat = -lamb @ (theta_mat - nu[:, None])
-        stats = compute_batch_stats(theta_mat, g_mat)
+        stats = compute_batch_stats(theta_mat, target.grad_log_h(theta_mat))
         v = stats.v_mat()
         u = stats.u_mat(mu)
         grad_sigma = v - sigma_inv @ u @ sigma_inv

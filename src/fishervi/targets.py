@@ -3,8 +3,10 @@
 Each model exposes the unnormalized log posterior log h(theta) =
 log p(theta) + log p(y | theta) including all constants (they matter for
 lower-bound traces), its gradient, and a Hessian confined to the model's
-conditional-independence pattern.  Evaluation is pure; models are immutable
-after construction.
+conditional-independence pattern.  The score is batched: `grad_log_h`
+takes theta of shape (dim,) or (dim, B) and returns the same shape, column j
+being the score at theta[:, j]; `log_h` and `hess_log_h` take one theta.
+Evaluation is pure; models are immutable after construction.
 """
 from __future__ import annotations
 
@@ -26,6 +28,14 @@ def softplus(x):
 
 @runtime_checkable
 class TargetModel(Protocol):
+    """What the estimators use of a target.
+
+    `grad_log_h` accepts theta of shape (dim,) or (dim, B) and returns the
+    score with the same shape, column by column; `log_h` and `hess_log_h`
+    take theta of shape (dim,).  An optional `default_batch_size` attribute
+    sets the FDb/SDb batch size when the fit config leaves it unset.
+    """
+
     dim: int
 
     def sparsity_hint(self) -> SparsityPattern: ...
@@ -37,13 +47,20 @@ class TargetModel(Protocol):
     def hess_log_h(self, theta: np.ndarray): ...
 
 
-def _check_theta(theta, dim):
+def _check_theta(theta, dim, batch=False):
+    """theta as a float array of shape (dim,), or with batch=True also (dim, B)."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (dim,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({dim},)")
+    if theta.shape != (dim,) and not (batch and theta.ndim == 2 and theta.shape[0] == dim):
+        expected = f"({dim},) or ({dim}, B)" if batch else f"({dim},)"
+        raise ValueError(f"theta has shape {theta.shape}, expected {expected}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta contains non-finite entries")
     return theta
+
+
+def _columns(v, theta):
+    """v of shape (dim,) shaped to broadcast against theta of shape (dim,) or (dim, B)."""
+    return v if theta.ndim == 1 else v[:, None]
 
 
 def _check_finite(value, context):
@@ -54,6 +71,8 @@ def _check_finite(value, context):
 
 class GaussianTarget:
     """Gaussian posterior N(nu, Lambda^{-1}); the closed-form analytics target."""
+
+    default_batch_size = 5
 
     def __init__(self, nu, lamb):
         self.nu = np.asarray(nu, dtype=float)
@@ -79,8 +98,8 @@ class GaussianTarget:
         return float(_check_finite(val, "GaussianTarget.log_h"))
 
     def grad_log_h(self, theta) -> np.ndarray:
-        theta = _check_theta(theta, self.dim)
-        return -self.lamb @ (theta - self.nu)
+        theta = _check_theta(theta, self.dim, batch=True)
+        return -self.lamb @ (theta - _columns(self.nu, theta))
 
     def hess_log_h(self, theta) -> np.ndarray:
         _check_theta(theta, self.dim)
@@ -93,6 +112,8 @@ class LogisticModel:
     X may be dense or scipy.sparse; the precision of the variational
     approximation is a full matrix here so the sparsity hint is dense.
     """
+
+    default_batch_size = 3
 
     def __init__(self, X, y, sigma0_sq: float = 100.0):
         self.sparse = scipy.sparse.issparse(X)
@@ -125,13 +146,9 @@ class LogisticModel:
         return float(_check_finite(val, "LogisticModel.log_h"))
 
     def grad_log_h(self, theta) -> np.ndarray:
-        theta = _check_theta(theta, self.dim)
-        w = expit(self._logits(theta))
-        resid = self.y - w
-        xt_r = self.X.T @ resid
-        if self.sparse:
-            xt_r = np.asarray(xt_r).ravel()
-        return xt_r - theta / self.sigma0_sq
+        theta = _check_theta(theta, self.dim, batch=True)
+        resid = _columns(self.y, theta) - expit(self._logits(theta))
+        return self.X.T @ resid - theta / self.sigma0_sq
 
     def hess_log_h(self, theta):
         theta = _check_theta(theta, self.dim)
@@ -163,28 +180,40 @@ class GlmmModel:
     where the random-effect precision is G = W W^t, W lower triangular with
     positive diagonal, W*_ii = log W_ii.  Priors: b_i ~ N(0, G^{-1}),
     beta ~ N(0, sigma_beta_sq I), zeta ~ N(0, sigma_zeta_sq I).
+
+    The subject blocks are stacked once, at construction, into X (N x p),
+    Z (N x r) and y (N,); subject i owns rows offsets[i]:offsets[i+1], which
+    may be none.
     """
 
     FAMILIES = ("bernoulli-logit", "poisson-log")
+    default_batch_size = 5
 
     def __init__(self, family, X_blocks, Z_blocks, y_blocks,
                  sigma_beta_sq: float = 100.0, sigma_zeta_sq: float = 100.0):
         if family not in self.FAMILIES:
             raise ValueError(f"family must be one of {self.FAMILIES}")
         self.family = family
-        self.X_blocks = [np.asarray(x, dtype=float) for x in X_blocks]
-        self.Z_blocks = [np.asarray(z, dtype=float) for z in Z_blocks]
-        self.y_blocks = [np.asarray(yy, dtype=float) for yy in y_blocks]
-        self.n_subjects = len(self.X_blocks)
-        if not (len(self.Z_blocks) == len(self.y_blocks) == self.n_subjects >= 1):
+        x_blocks = [np.asarray(x, dtype=float) for x in X_blocks]
+        z_blocks = [np.asarray(z, dtype=float) for z in Z_blocks]
+        y_blocks = [np.asarray(yy, dtype=float) for yy in y_blocks]
+        self.n_subjects = len(x_blocks)
+        if not (len(z_blocks) == len(y_blocks) == self.n_subjects >= 1):
             raise ValueError("block lists must have equal nonzero length")
-        self.p = self.X_blocks[0].shape[1]
-        self.r = self.Z_blocks[0].shape[1]
-        for xi, zi, yi in zip(self.X_blocks, self.Z_blocks, self.y_blocks):
+        self.p = x_blocks[0].shape[1]
+        self.r = z_blocks[0].shape[1]
+        for xi, zi, yi in zip(x_blocks, z_blocks, y_blocks):
             if xi.shape[0] != zi.shape[0] or xi.shape[0] != yi.size:
                 raise ValueError("inconsistent rows within a subject block")
             if xi.shape[1] != self.p or zi.shape[1] != self.r:
                 raise ValueError("inconsistent covariate dimensions across subjects")
+        self.X = np.concatenate(x_blocks)
+        self.Z = np.concatenate(z_blocks)
+        self.y = np.concatenate(y_blocks)
+        counts = np.array([yi.size for yi in y_blocks])
+        self.offsets = np.concatenate([[0], np.cumsum(counts)])
+        self._subject = np.repeat(np.arange(self.n_subjects), counts)  # row -> subject
+        self._owners = np.flatnonzero(counts)  # subjects with at least one row
         self.sigma_beta_sq = float(sigma_beta_sq)
         self.sigma_zeta_sq = float(sigma_zeta_sq)
         self.n_zeta = self.r * (self.r + 1) // 2
@@ -192,12 +221,11 @@ class GlmmModel:
         self._wrows, self._wcols = _vech_indices(self.r)
         self._wdiag = np.flatnonzero(self._wrows == self._wcols)
         if self.family == "poisson-log":
-            self._y_const = -sum(float(np.sum(gammaln(yy + 1.0))) for yy in self.y_blocks)
+            self._y_const = -float(np.sum(gammaln(self.y + 1.0)))
         else:
             self._y_const = 0.0
-            for yy in self.y_blocks:
-                if not np.all(np.isin(yy, (0.0, 1.0))):
-                    raise ValueError("bernoulli responses must be binary 0/1")
+            if not np.all(np.isin(self.y, (0.0, 1.0))):
+                raise ValueError("bernoulli responses must be binary 0/1")
 
     # canonical-family log partition A and derivatives, analytic
     def _A(self, eta):
@@ -220,31 +248,48 @@ class GlmmModel:
         return build_pattern(self.n_subjects, [self.r] * self.n_subjects,
                              self.p + self.n_zeta, 0)
 
-    def unpack(self, theta):
-        theta = _check_theta(theta, self.dim)
+    def unpack(self, theta, batch=False):
+        """(b, beta, zeta), b of shape (n_subjects, r); with batch=True theta
+        may be (dim, B) and each part gains a trailing axis of length B."""
+        theta = _check_theta(theta, self.dim, batch)
         nb = self.n_subjects * self.r
-        b = theta[:nb].reshape(self.n_subjects, self.r)
+        b = theta[:nb].reshape((self.n_subjects, self.r) + theta.shape[1:])
         beta = theta[nb:nb + self.p]
         zeta = theta[nb + self.p:]
         return b, beta, zeta
 
     def w_matrix(self, zeta):
-        """(W, dvec) from zeta = vech(W*); dvec is the vech(T*) chain-rule scale."""
-        w = np.zeros((self.r, self.r))
+        """(W, dvec) from zeta = vech(W*); dvec is the vech(T*) chain-rule scale.
+
+        zeta of shape (n_zeta, B) gives W of shape (r, r, B), one per column.
+        """
+        w = np.zeros((self.r, self.r) + zeta.shape[1:])
         w[self._wrows, self._wcols] = zeta
         diag = np.exp(zeta[self._wdiag])
         w[np.arange(self.r), np.arange(self.r)] = diag
-        dvec = np.ones(self.n_zeta)
+        dvec = np.ones(zeta.shape)
         dvec[self._wdiag] = diag
         return w, dvec
+
+    def _eta(self, b, beta):
+        """Linear predictor of all N rows, (N,) or (N, B)."""
+        return self.X @ beta + np.einsum("ir,ir...->i...", self.Z, b[self._subject])
+
+    def _subject_sums(self, rows):
+        """Sums of rows (N, ...) over each subject's rows, (n_subjects, ...).
+
+        np.add.reduceat would return a row, not zero, for a subject without
+        rows, so only subjects that own rows take part.
+        """
+        out = np.zeros((self.n_subjects,) + rows.shape[1:])
+        out[self._owners] = np.add.reduceat(rows, self.offsets[self._owners], axis=0)
+        return out
 
     def log_h(self, theta) -> float:
         b, beta, zeta = self.unpack(theta)
         w, _ = self.w_matrix(zeta)
-        val = self._y_const
-        for i in range(self.n_subjects):
-            eta = self.X_blocks[i] @ beta + self.Z_blocks[i] @ b[i]
-            val += float(self.y_blocks[i] @ eta - np.sum(self._A(eta)))
+        eta = self._eta(b, beta)
+        val = self._y_const + float(self.y @ eta - np.sum(self._A(eta)))
         wtb = b @ w  # row i is b_i^t W
         val += self.n_subjects * float(np.sum(zeta[self._wdiag]))  # n log|W|
         val -= 0.5 * float(np.sum(wtb * wtb))
@@ -256,23 +301,20 @@ class GlmmModel:
         return float(_check_finite(val, "GlmmModel.log_h"))
 
     def grad_log_h(self, theta) -> np.ndarray:
-        b, beta, zeta = self.unpack(theta)
+        # written for a trailing batch axis ("..."), absent for a single theta
+        b, beta, zeta = self.unpack(theta, batch=True)
         w, dvec = self.w_matrix(zeta)
-        g_mat = w @ w.T
-        grad = np.zeros(self.dim)
-        g_beta = -beta / self.sigma_beta_sq
-        for i in range(self.n_subjects):
-            eta = self.X_blocks[i] @ beta + self.Z_blocks[i] @ b[i]
-            resid = self.y_blocks[i] - self._A1(eta)
-            grad[i * self.r:(i + 1) * self.r] = self.Z_blocks[i].T @ resid - g_mat @ b[i]
-            g_beta += self.X_blocks[i].T @ resid
-        nb = self.n_subjects * self.r
-        grad[nb:nb + self.p] = g_beta
-        w_tilde = (b.T @ b) @ w  # sum_i b_i b_i^t W
+        wtb = np.einsum("rc...,ir...->ic...", w, b)  # row i is b_i^t W
+        eta = self._eta(b, beta)
+        resid = _columns(self.y, eta) - self._A1(eta)
+        g_b = (self._subject_sums(np.einsum("ir,i...->ir...", self.Z, resid))
+               - np.einsum("rc...,ic...->ir...", w, wtb))  # Z_i^t resid_i - G b_i
+        g_beta = self.X.T @ resid - beta / self.sigma_beta_sq
+        w_tilde = np.einsum("ir...,ic...->rc...", b, wtb)  # sum_i b_i b_i^t W
         g_zeta = -dvec * w_tilde[self._wrows, self._wcols]
         g_zeta[self._wdiag] += self.n_subjects
         g_zeta -= zeta / self.sigma_zeta_sq
-        grad[nb + self.p:] = g_zeta
+        grad = np.concatenate([g_b.reshape((-1,) + beta.shape[1:]), g_beta, g_zeta])
         return _check_finite(grad, "GlmmModel.grad_log_h")
 
     def hess_log_h(self, theta):
@@ -285,11 +327,10 @@ class GlmmModel:
 
         h_beta = -np.eye(p) / self.sigma_beta_sq
         bsum = b.T @ b
+        a2_all = self._A2(self._eta(b, beta))
         for i in range(n):
-            eta = self.X_blocks[i] @ beta + self.Z_blocks[i] @ b[i]
-            a2 = self._A2(eta)
-            zi = self.Z_blocks[i]
-            xi = self.X_blocks[i]
+            rows = slice(self.offsets[i], self.offsets[i + 1])
+            a2, zi, xi = a2_all[rows], self.Z[rows], self.X[rows]
             sl = slice(i * r, (i + 1) * r)
             h[sl, sl] = -(zi.T * a2) @ zi - g_mat
             cross = -(xi.T * a2) @ zi  # d2/dbeta db_i
@@ -327,6 +368,8 @@ class SvModel:
     b_1 ~ N(0, 1/(1-phi^2)).  Prior on the globals is N(0, sigma0_sq I).
     """
 
+    default_batch_size = 10
+
     def __init__(self, y, sigma0_sq: float = 10.0):
         self.y = np.asarray(y, dtype=float)
         if self.y.ndim != 1 or self.y.size < 1:
@@ -339,8 +382,9 @@ class SvModel:
         return build_pattern(self.n, [1] * self.n, 3, 1) if self.n > 1 \
             else build_pattern(1, [1], 3, 0)
 
-    def unpack(self, theta):
-        theta = _check_theta(theta, self.dim)
+    def unpack(self, theta, batch=False):
+        """(b, alpha, lambda, psi); with batch=True theta may be (dim, B)."""
+        theta = _check_theta(theta, self.dim, batch)
         return theta[:self.n], theta[self.n], theta[self.n + 1], theta[self.n + 2]
 
     def log_h(self, theta) -> float:
@@ -359,13 +403,14 @@ class SvModel:
         return float(_check_finite(val, "SvModel.log_h"))
 
     def grad_log_h(self, theta) -> np.ndarray:
-        b, alpha, lam, psi = self.unpack(theta)
+        # with theta (dim, B): b is (n, B) and the globals are (B,)
+        b, alpha, lam, psi = self.unpack(theta, batch=True)
         n = self.n
         sigma = np.exp(alpha)
         phi = expit(psi)
         dphi = phi * (1.0 - phi)  # e^psi/(e^psi+1)^2
         e = np.exp(-lam - sigma * b)
-        y2e = self.y ** 2 * e
+        y2e = _columns(self.y ** 2, b) * e
 
         g_b = -0.5 * sigma + 0.5 * sigma * y2e
         g_b[0] += -(1.0 - phi ** 2) * b[0]
@@ -373,14 +418,14 @@ class SvModel:
             innov = b[1:] - phi * b[:-1]
             g_b[:-1] += phi * innov
             g_b[1:] -= innov
-        g_alpha = 0.5 * sigma * float(b @ y2e) - 0.5 * sigma * np.sum(b) \
+        g_alpha = 0.5 * sigma * np.sum(b * y2e, axis=0) - 0.5 * sigma * np.sum(b, axis=0) \
             - alpha / self.sigma0_sq
-        g_lam = -0.5 * n + 0.5 * float(np.sum(y2e)) - lam / self.sigma0_sq
+        g_lam = -0.5 * n + 0.5 * np.sum(y2e, axis=0) - lam / self.sigma0_sq
         p_phi = phi * b[0] ** 2 - phi / (1.0 - phi ** 2)
         if n > 1:
-            p_phi += float((b[1:] - phi * b[:-1]) @ b[:-1])
+            p_phi += np.sum(innov * b[:-1], axis=0)
         g_psi = p_phi * dphi - psi / self.sigma0_sq
-        grad = np.concatenate([g_b, [g_alpha, g_lam, g_psi]])
+        grad = np.concatenate([g_b, np.stack([g_alpha, g_lam, g_psi])])
         return _check_finite(grad, "SvModel.grad_log_h")
 
     def hess_log_h(self, theta):

@@ -18,6 +18,7 @@ from fishervi.optimizers import (
     batch_objective_direct,
     batch_objective_trace,
     compute_batch_stats,
+    default_batch_size,
     fit,
     gradient_alg1,
     gradient_alg2,
@@ -27,7 +28,7 @@ from fishervi.optimizers import (
     step_alg1,
     step_alg2,
 )
-from fishervi.targets import GaussianTarget
+from fishervi.targets import GaussianTarget, GlmmModel, LogisticModel, SvModel
 
 
 def random_state(rng, pattern, t_scale=1.0):
@@ -361,6 +362,34 @@ class TestFit:
         cfg = FitConfig(divergence, seed=0, init_t_scale=1e-305)
         with pytest.raises(FitAbortedError, match="no step succeeded"):
             fit(target, cfg)
+
+    @pytest.mark.parametrize("divergence", ["KLD", "SDb"])
+    def test_rejected_step_leaves_state(self, divergence):
+        # a step whose lower bound is non-finite is rejected before the
+        # Adadelta advance: (mu, T) stay at the initial state and each
+        # rejected iteration counts once
+        class InfiniteLogH(GaussianTarget):
+            def log_h(self, theta):
+                return np.inf
+
+        target = InfiniteLogH(np.ones(2), 2.0 * np.eye(2))
+        cfg = FitConfig(divergence, seed=0, max_iter=20, window=5,
+                        batch_size=3 if divergence == "SDb" else None)
+        res = fit(target, cfg)
+        assert res.rejected_steps == 20
+        np.testing.assert_array_equal(res.state.mu, 0.0)
+        np.testing.assert_array_equal(res.state.factor.values, [1.0, 0.0, 1.0])
+        assert res.state.iteration == 20
+
+    def test_default_batch_size_from_target(self):
+        logistic = LogisticModel(np.ones((2, 1)), np.array([0.0, 1.0]))
+        glmm = GlmmModel("poisson-log", [np.ones((1, 1))], [np.ones((1, 1))], [np.ones(1)])
+        sv = SvModel(np.ones(3))
+        gauss = GaussianTarget(np.zeros(2), np.eye(2))
+        assert [default_batch_size(m, "SDb") for m in (logistic, glmm, sv, gauss)] \
+            == [3, 5, 10, 5]
+        assert default_batch_size(sv, "KLD") == 1
+        assert default_batch_size(object(), "FDb") == 5
 
     def test_lower_bound_estimate(self, rng):
         # at q = p the one-sample lower bound equals log p(y) = 0 for a

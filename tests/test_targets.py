@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import central_diff_grad, central_diff_hess, random_spd
-from fishervi.targets import GaussianTarget, GlmmModel, LogisticModel, SvModel
+from fishervi.targets import LOG_2PI, GaussianTarget, GlmmModel, LogisticModel, SvModel
 
 
 def hess_dense(model, theta):
@@ -72,8 +73,6 @@ class TestLogisticModel:
         assert np.all(np.isfinite(m.grad_log_h(theta)))
 
     def test_sparse_design_matches_dense(self, rng):
-        import scipy.sparse
-
         X = rng.standard_normal((20, 4))
         X[rng.random((20, 4)) < 0.5] = 0.0
         y = (rng.random(20) < 0.5).astype(float)
@@ -195,3 +194,92 @@ class TestSvStructure:
         with pytest.raises(FloatingPointError):
             with np.errstate(over="ignore"):
                 m.log_h(theta)
+
+
+GLMM_SIZES = [4, 1, 0, 6]  # unequal subject sizes and one subject without rows
+
+
+def glmm_blocks(rng, family, sizes, p=3, r=2):
+    xb = [rng.standard_normal((k, p)) for k in sizes]
+    zb = [rng.standard_normal((k, r)) for k in sizes]
+    if family == "poisson-log":
+        yb = [rng.poisson(1.5, k).astype(float) for k in sizes]
+    else:
+        yb = [(rng.random(k) < 0.5).astype(float) for k in sizes]
+    return xb, zb, yb
+
+
+def batched_model(kind, rng):
+    if kind == "gaussian":
+        return GaussianTarget(rng.standard_normal(4), random_spd(rng, 4))
+    if kind.startswith("logistic"):
+        X = rng.standard_normal((30, 5))
+        X[rng.random(X.shape) < 0.5] = 0.0
+        y = (rng.random(30) < 0.5).astype(float)
+        return LogisticModel(scipy.sparse.csr_matrix(X) if kind.endswith("sparse") else X, y)
+    if kind.startswith("glmm"):
+        family = "poisson-log" if kind.endswith("poisson") else "bernoulli-logit"
+        return GlmmModel(family, *glmm_blocks(rng, family, GLMM_SIZES))
+    return SvModel(rng.standard_normal(int(kind.split("-")[1])) * 0.8)
+
+
+BATCHED_KINDS = ["gaussian", "logistic-dense", "logistic-sparse", "glmm-bernoulli",
+                 "glmm-poisson", "sv-1", "sv-2", "sv-50"]
+
+
+class TestBatchedScore:
+    @pytest.mark.parametrize("kind", BATCHED_KINDS)
+    def test_columns_match_single_theta(self, kind, rng):
+        model = batched_model(kind, rng)
+        theta = rng.standard_normal((model.dim, 7)) * 0.4
+        g = model.grad_log_h(theta)
+        assert g.shape == theta.shape
+        single = [model.grad_log_h(theta[:, j]) for j in range(theta.shape[1])]
+        assert all(gj.shape == (model.dim,) for gj in single)
+        np.testing.assert_allclose(g, np.stack(single, axis=1), rtol=1e-12)
+        assert model.grad_log_h(theta[:, :1]).shape == (model.dim, 1)
+
+    @pytest.mark.parametrize("kind", BATCHED_KINDS)
+    def test_malformed_batch_rejected(self, kind, rng):
+        model = batched_model(kind, rng)
+        d = model.dim
+        with pytest.raises(ValueError):
+            model.grad_log_h(np.zeros((d + 1, 3)))
+        with pytest.raises(ValueError):
+            model.grad_log_h(np.zeros((d, 3, 1)))
+        theta = np.zeros((d, 3))
+        theta[-1, 2] = np.nan
+        with pytest.raises(ValueError):
+            model.grad_log_h(theta)
+        with pytest.raises(ValueError):  # log_h takes a single theta
+            model.log_h(np.zeros((d, 3)))
+
+    @pytest.mark.parametrize("family", GlmmModel.FAMILIES)
+    def test_glmm_subject_without_rows(self, family, rng):
+        # a subject without rows adds only its random-effect prior to log h,
+        # log|W| - |W^t b|^2 / 2 - r log(2 pi) / 2, and the score agrees
+        # with differences of log h
+        xb, zb, yb = glmm_blocks(rng, family, GLMM_SIZES)
+        empty = GLMM_SIZES.index(0)
+        full = GlmmModel(family, xb, zb, yb)
+        kept = [i for i in range(len(GLMM_SIZES)) if i != empty]
+        reduced = GlmmModel(family, [xb[i] for i in kept], [zb[i] for i in kept],
+                            [yb[i] for i in kept])
+        r = full.r
+        theta = rng.standard_normal(full.dim) * 0.4
+        b_empty = theta[empty * r:(empty + 1) * r]
+        w, _ = full.w_matrix(theta[-full.n_zeta:])
+        prior = (float(np.sum(np.log(np.diag(w)))) - 0.5 * float(np.sum((w.T @ b_empty) ** 2))
+                 - 0.5 * r * LOG_2PI)
+        theta_reduced = np.delete(theta, np.arange(empty * r, (empty + 1) * r))
+        np.testing.assert_allclose(full.log_h(theta), reduced.log_h(theta_reduced) + prior,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(full.grad_log_h(theta),
+                                   central_diff_grad(full.log_h, theta), rtol=1e-5, atol=1e-5)
+
+    def test_bernoulli_response_checked_in_last_block(self, rng):
+        xb, zb, yb = glmm_blocks(rng, "bernoulli-logit", GLMM_SIZES)
+        yb[-1] = yb[-1].copy()
+        yb[-1][-1] = 2.0
+        with pytest.raises(ValueError, match="binary"):
+            GlmmModel("bernoulli-logit", xb, zb, yb)
