@@ -25,8 +25,7 @@ from .optimizers import (
     bam_step,
     fit,
     sdb_natural_step,
-    step_alg1,
-    step_alg2,
+    step,
 )
 from .meanfield import (
     meanfield_kl,
@@ -73,8 +72,7 @@ __all__ = [
     "mmd_mstar",
     "mmd_sq_u",
     "sdb_natural_step",
-    "step_alg1",
-    "step_alg2",
+    "step",
     "variance_ordering_check",
     "natural_gradient_recursion",
     "uni_fit",

@@ -116,12 +116,9 @@ def build_model(cfg: dict):
 
 
 def fit_config_from(cfg: dict, seed: int) -> optimizers.FitConfig:
-    divergence = _get(cfg, "divergence")
-    if divergence not in optimizers.DIVERGENCES:
-        raise ConfigError(f"divergence must be one of {optimizers.DIVERGENCES}")
     batch = cfg.get("optimizer.batch_size")
     return optimizers.FitConfig(
-        divergence=divergence,
+        divergence=_get(cfg, "divergence"),
         seed=seed,
         max_iter=_get(cfg, "optimizer.max_iter", 60_000, int),
         window=_get(cfg, "optimizer.window", 1000, int),

@@ -1,8 +1,8 @@
 """Stochastic optimizers for the sparse Gaussian variational family.
 
 Two SGD schemes update (mu, vech(T*)) with Adadelta stepsizes: the
-reparameterization-trick estimators for KLD / FDr / SDr (one draw, Hessian
-premultiplications for the divergence gradients) and the batch-approximation
+reparameterization-trick estimators for KLD / FDr / SDr (one draw, one
+Hessian-vector product for the divergence gradients) and the batch-approximation
 estimators for FDb / SDb (B draws, Hessian-free, biased).  A proximal
 baseline with closed-form dense-covariance updates and the natural-gradient
 score step used by the convergence analysis round out the module.
@@ -161,7 +161,7 @@ def gradient_alg1(mu, factor, model, divergence, z):
         f = factor.solve_lower(g)
         z_eff = z - f
         g_eff = factor.solve_upper_transpose(f)  # Sigma g, via two solves
-    w = model.hess_log_h(theta) @ g_eff
+    w = model.hess_log_h(theta, g_eff)
     v = factor.solve_lower(w)
     desc_mu = 2.0 * w
     desc_t = 2.0 * dscale.apply(g_eff[rows] * z_eff[cols] - u[rows] * v[cols])
@@ -293,19 +293,27 @@ def _advance(state: VariationalState, desc_mu, desc_t):
     return VariationalState(mu_next, factor_next, ad_next, state.iteration + 1)
 
 
-def step_alg1(state: VariationalState, model, divergence: str, rng) -> VariationalState:
-    z = rng.standard_normal(state.mu.size)
-    desc_mu, desc_t, _ = gradient_alg1(state.mu, state.factor, model, divergence, z)
-    return _advance(state, desc_mu, desc_t)
+def step(state: VariationalState, model, divergence: str, batch: int, rng):
+    """One SGD step; returns (next state, the step's one-sample lower bound).
 
-
-def step_alg2(state: VariationalState, model, divergence: str, batch_size: int,
-              rng) -> VariationalState:
-    if batch_size < 2:
-        raise ValueError("batch size must be >= 2")
-    z = rng.standard_normal((state.mu.size, batch_size))
-    desc_mu, desc_t, _ = gradient_alg2(state.mu, state.factor, model, divergence, z)
-    return _advance(state, desc_mu, desc_t)
+    Algorithm 1 draws one z and evaluates the bound at its theta; Algorithm 2
+    draws a (d, batch) z and then a separate z for the bound (Algorithm 1
+    ignores `batch`).  This is `fit`'s draw order.  A non-finite
+    bound raises FloatingPointError before the advance, so a rejected step
+    leaves (mu, T*) as they were.
+    """
+    if divergence in ALG2_DIVERGENCES:
+        z = rng.standard_normal((state.mu.size, batch))
+        desc_mu, desc_t, _ = gradient_alg2(state.mu, state.factor, model, divergence, z)
+        z_lb = rng.standard_normal(state.mu.size)
+        theta_lb = state.mu + state.factor.solve_upper_transpose(z_lb)
+    else:
+        z = rng.standard_normal(state.mu.size)
+        desc_mu, desc_t, theta_lb = gradient_alg1(state.mu, state.factor, model, divergence, z)
+    lb = lower_bound(state.mu, state.factor, model, theta_lb)
+    if not np.isfinite(lb):
+        raise FloatingPointError("non-finite lower bound")
+    return _advance(state, desc_mu, desc_t), lb
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +332,23 @@ class FitConfig:
     init_mu: np.ndarray | None = None
     init_t_scale: float = 1.0
     pattern: SparsityPattern | None = None
+
+    def __post_init__(self):
+        if self.divergence not in DIVERGENCES:
+            raise ValueError(f"divergence must be one of {DIVERGENCES}, got {self.divergence!r}")
+        for name in ("max_iter", "window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if (self.divergence in ALG2_DIVERGENCES and self.batch_size is not None
+                and self.batch_size < 2):
+            raise ValueError(f"batch_size must be at least 2 for {self.divergence}, "
+                             f"got {self.batch_size}")
+        if not 0.0 < self.adadelta_rho < 1.0:
+            raise ValueError(f"adadelta_rho must lie in (0, 1), got {self.adadelta_rho}")
+        for name in ("adadelta_eps", "init_t_scale"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     def echo(self) -> dict:
         out = {
@@ -398,15 +423,12 @@ def fit(model, config: FitConfig) -> FitResult:
     is appended to the trace; once five averages exist, a negative OLS slope
     of the most recent five stops the run.
     """
-    if config.divergence not in DIVERGENCES:
-        raise ValueError(f"unknown divergence {config.divergence}")
     rng = np.random.default_rng(config.seed)
     pattern = config.pattern if config.pattern is not None else model.sparsity_hint()
     if pattern.dim != model.dim:
         raise ValueError("pattern dimension does not match model")
     state = VariationalState.initial(pattern, config.init_mu, config.init_t_scale,
                                      config.adadelta_rho, config.adadelta_eps)
-    use_alg2 = config.divergence in ALG2_DIVERGENCES
     batch = config.batch_size or default_batch_size(model, config.divergence)
 
     lb_trace: list[float] = []
@@ -421,21 +443,7 @@ def fit(model, config: FitConfig) -> FitResult:
 
     for it in range(1, config.max_iter + 1):
         try:
-            if use_alg2:
-                z = rng.standard_normal((state.mu.size, batch))
-                desc_mu, desc_t, _ = gradient_alg2(state.mu, state.factor, model,
-                                                   config.divergence, z)
-                z_lb = rng.standard_normal(state.mu.size)
-                theta_lb = state.mu + state.factor.solve_upper_transpose(z_lb)
-            else:
-                z = rng.standard_normal(state.mu.size)
-                desc_mu, desc_t, theta_lb = gradient_alg1(state.mu, state.factor, model,
-                                                          config.divergence, z)
-            lb = lower_bound(state.mu, state.factor, model, theta_lb)
-            # checked before the advance, so a rejected step leaves (mu, T*) as they were
-            if not np.isfinite(lb):
-                raise FloatingPointError("non-finite lower bound")
-            state = _advance(state, desc_mu, desc_t)
+            state, lb = step(state, model, config.divergence, batch, rng)
             last_lb = lb
             consecutive_rejects = 0
         except (FloatingPointError, SingularFactorError):

@@ -1,12 +1,14 @@
-"""Posterior target models: log h(theta), gradient and sparse Hessian.
+"""Posterior target models: log h(theta), its gradient and Hessian-vector products.
 
 Each model exposes the unnormalized log posterior log h(theta) =
 log p(theta) + log p(y | theta) including all constants (they matter for
-lower-bound traces), its gradient, and a Hessian confined to the model's
-conditional-independence pattern.  The score is batched: `grad_log_h`
-takes theta of shape (dim,) or (dim, B) and returns the same shape, column j
-being the score at theta[:, j]; `log_h` and `hess_log_h` take one theta.
-Evaluation is pure; models are immutable after construction.
+lower-bound traces), its gradient, and the Hessian-vector product
+`hess_log_h(theta, v)` = H(theta) v, formed directly in O(data) without
+assembling H; H is confined to the model's conditional-independence
+pattern (`sparsity_hint`).  The score is batched: `grad_log_h` takes theta
+of shape (dim,) or (dim, B) and returns the same shape, column j being the
+score at theta[:, j]; `log_h` and `hess_log_h` take one theta.  Evaluation
+is pure; models are immutable after construction.
 """
 from __future__ import annotations
 
@@ -31,9 +33,11 @@ class TargetModel(Protocol):
     """What the estimators use of a target.
 
     `grad_log_h` accepts theta of shape (dim,) or (dim, B) and returns the
-    score with the same shape, column by column; `log_h` and `hess_log_h`
-    take theta of shape (dim,).  An optional `default_batch_size` attribute
-    sets the FDb/SDb batch size when the fit config leaves it unset.
+    score with the same shape, column by column; `log_h` takes theta of
+    shape (dim,), and `hess_log_h(theta, v)` returns the Hessian-vector
+    product H(theta) v of shape (dim,) for theta and v of shape (dim,).  An
+    optional `default_batch_size` attribute sets the FDb/SDb batch size when
+    the fit config leaves it unset.
     """
 
     dim: int
@@ -44,7 +48,7 @@ class TargetModel(Protocol):
 
     def grad_log_h(self, theta: np.ndarray) -> np.ndarray: ...
 
-    def hess_log_h(self, theta: np.ndarray): ...
+    def hess_log_h(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray: ...
 
 
 def _check_theta(theta, dim, batch=False):
@@ -56,6 +60,14 @@ def _check_theta(theta, dim, batch=False):
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta contains non-finite entries")
     return theta
+
+
+def _check_direction(v, dim):
+    """v as a float array of shape (dim,); a non-finite v is left to the caller."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (dim,):
+        raise ValueError(f"v has shape {v.shape}, expected ({dim},)")
+    return v
 
 
 def _columns(v, theta):
@@ -101,9 +113,9 @@ class GaussianTarget:
         theta = _check_theta(theta, self.dim, batch=True)
         return -self.lamb @ (theta - _columns(self.nu, theta))
 
-    def hess_log_h(self, theta) -> np.ndarray:
+    def hess_log_h(self, theta, v) -> np.ndarray:
         _check_theta(theta, self.dim)
-        return -self.lamb
+        return -self.lamb @ _check_direction(v, self.dim)
 
 
 class LogisticModel:
@@ -116,8 +128,7 @@ class LogisticModel:
     default_batch_size = 3
 
     def __init__(self, X, y, sigma0_sq: float = 100.0):
-        self.sparse = scipy.sparse.issparse(X)
-        self.X = X.tocsr() if self.sparse else np.asarray(X, dtype=float)
+        self.X = X.tocsr() if scipy.sparse.issparse(X) else np.asarray(X, dtype=float)
         self.y = np.asarray(y, dtype=float)
         if self.y.ndim != 1 or self.X.shape[0] != self.y.size:
             raise ValueError("X and y have inconsistent shapes")
@@ -150,17 +161,11 @@ class LogisticModel:
         resid = _columns(self.y, theta) - expit(self._logits(theta))
         return self.X.T @ resid - theta / self.sigma0_sq
 
-    def hess_log_h(self, theta):
+    def hess_log_h(self, theta, v) -> np.ndarray:
         theta = _check_theta(theta, self.dim)
+        v = _check_direction(v, self.dim)
         w = expit(self._logits(theta))
-        wv = w * (1.0 - w)
-        if self.sparse:
-            xw = self.X.multiply(wv[:, None]).tocsr()
-            h = -(self.X.T @ xw) - scipy.sparse.identity(self.dim, format="csr") / self.sigma0_sq
-            return h.tocsr()
-        h = -(self.X.T * wv) @ self.X
-        h[np.diag_indices(self.dim)] -= 1.0 / self.sigma0_sq
-        return h
+        return -(self.X.T @ (w * (1.0 - w) * (self.X @ v))) - v / self.sigma0_sq
 
 
 def _vech_indices(r):
@@ -251,7 +256,9 @@ class GlmmModel:
     def unpack(self, theta, batch=False):
         """(b, beta, zeta), b of shape (n_subjects, r); with batch=True theta
         may be (dim, B) and each part gains a trailing axis of length B."""
-        theta = _check_theta(theta, self.dim, batch)
+        return self._split(_check_theta(theta, self.dim, batch))
+
+    def _split(self, theta):
         nb = self.n_subjects * self.r
         b = theta[:nb].reshape((self.n_subjects, self.r) + theta.shape[1:])
         beta = theta[nb:nb + self.p]
@@ -317,47 +324,28 @@ class GlmmModel:
         grad = np.concatenate([g_b.reshape((-1,) + beta.shape[1:]), g_beta, g_zeta])
         return _check_finite(grad, "GlmmModel.grad_log_h")
 
-    def hess_log_h(self, theta):
+    def hess_log_h(self, theta, v) -> np.ndarray:
+        # the derivative of grad_log_h along v, term by term
         b, beta, zeta = self.unpack(theta)
+        vb, vbeta, vzeta = self._split(_check_direction(v, self.dim))
         w, dvec = self.w_matrix(zeta)
-        g_mat = w @ w.T
-        n, r, p, nz = self.n_subjects, self.r, self.p, self.n_zeta
-        nb = n * r
-        h = scipy.sparse.lil_matrix((self.dim, self.dim))
-
-        h_beta = -np.eye(p) / self.sigma_beta_sq
-        bsum = b.T @ b
-        a2_all = self._A2(self._eta(b, beta))
-        for i in range(n):
-            rows = slice(self.offsets[i], self.offsets[i + 1])
-            a2, zi, xi = a2_all[rows], self.Z[rows], self.X[rows]
-            sl = slice(i * r, (i + 1) * r)
-            h[sl, sl] = -(zi.T * a2) @ zi - g_mat
-            cross = -(xi.T * a2) @ zi  # d2/dbeta db_i
-            h[nb:nb + p, sl] = cross
-            h[sl, nb:nb + p] = cross.T
-            h_beta -= (xi.T * a2) @ xi
-            # d2/dzeta db_i = -D^W L (W^t b_i kron I_r + W^t kron b_i)
-            u = w.T @ b[i]
-            blk = np.zeros((nz, r))
-            blk[np.arange(nz), self._wrows] = u[self._wcols]
-            blk += w.T[self._wcols, :] * b[i][self._wrows][:, None]
-            blk *= -dvec[:, None]
-            h[nb + p:, sl] = blk
-            h[sl, nb + p:] = blk.T
-        h[nb:nb + p, nb:nb + p] = h_beta
-
-        # d2/dzeta2 = -S - D^W L sum_i (I_r kron b_i b_i^t) L^t D^W - I/sigma_zeta^2
-        w_tilde = bsum @ w
-        s_diag = np.zeros(nz)
-        s_diag[self._wdiag] = np.diag(w)[self._wrows[self._wdiag]] * \
-            np.diag(w_tilde)[self._wrows[self._wdiag]]
-        same_col = self._wcols[:, None] == self._wcols[None, :]
-        kmat = same_col * bsum[np.ix_(self._wrows, self._wrows)]
-        h_zeta = -(dvec[:, None] * kmat * dvec[None, :])
-        h_zeta[np.arange(nz), np.arange(nz)] -= s_diag + 1.0 / self.sigma_zeta_sq
-        h[nb + p:, nb + p:] = h_zeta
-        return h.tocsr()
+        dw = np.zeros_like(w)
+        dw[self._wrows, self._wcols] = dvec * vzeta
+        eta = self._eta(b, beta)
+        d_resid = -self._A2(eta) * self._eta(vb, vbeta)
+        # row i of d(b G) with G = W W^t: b_i^t (W dW^t + dW W^t) + vb_i^t G
+        wtb = b @ w
+        d_gb = wtb @ dw.T + (b @ dw) @ w.T + (vb @ w) @ w.T
+        h_b = self._subject_sums(self.Z * d_resid[:, None]) - d_gb
+        h_beta = self.X.T @ d_resid - vbeta / self.sigma_beta_sq
+        # zeta score: -dvec * vech(M) with M = sum_i b_i b_i^t W; on the
+        # diagonal dvec = exp(zeta) moves too
+        m = b.T @ wtb
+        d_m = (vb.T @ b + b.T @ vb) @ w + (b.T @ b) @ dw
+        h_zeta = -dvec * d_m[self._wrows, self._wcols] - vzeta / self.sigma_zeta_sq
+        diag = self._wdiag
+        h_zeta[diag] -= dvec[diag] * vzeta[diag] * m[self._wrows[diag], self._wcols[diag]]
+        return np.concatenate([h_b.ravel(), h_beta, h_zeta])
 
 
 class SvModel:
@@ -384,7 +372,9 @@ class SvModel:
 
     def unpack(self, theta, batch=False):
         """(b, alpha, lambda, psi); with batch=True theta may be (dim, B)."""
-        theta = _check_theta(theta, self.dim, batch)
+        return self._split(_check_theta(theta, self.dim, batch))
+
+    def _split(self, theta):
         return theta[:self.n], theta[self.n], theta[self.n + 1], theta[self.n + 2]
 
     def log_h(self, theta) -> float:
@@ -428,8 +418,9 @@ class SvModel:
         grad = np.concatenate([g_b, np.stack([g_alpha, g_lam, g_psi])])
         return _check_finite(grad, "SvModel.grad_log_h")
 
-    def hess_log_h(self, theta):
+    def hess_log_h(self, theta, v) -> np.ndarray:
         b, alpha, lam, psi = self.unpack(theta)
+        vb, va, vl, vp = self._split(_check_direction(v, self.dim))
         n = self.n
         sigma = np.exp(alpha)
         phi = expit(psi)
@@ -446,13 +437,6 @@ class SvModel:
             diag_b[1:-1] -= 1.0 + phi ** 2
             diag_b[-1] -= 1.0
 
-        h = scipy.sparse.lil_matrix((self.dim, self.dim))
-        idx = np.arange(n)
-        h[idx, idx] = diag_b
-        if n > 1:
-            h[idx[:-1], idx[1:]] = phi
-            h[idx[1:], idx[:-1]] = phi
-
         # cross terms with the globals
         h_b_alpha = 0.5 * sigma * y2e * (1.0 - sigma * b) - 0.5 * sigma
         h_b_lam = -0.5 * sigma * y2e
@@ -466,14 +450,6 @@ class SvModel:
         else:
             h_b_psi[0] = 2.0 * phi * b[0] * dphi
 
-        ia, il, ip = n, n + 1, n + 2
-        h[idx, ia] = h_b_alpha
-        h[ia, idx] = h_b_alpha
-        h[idx, il] = h_b_lam
-        h[il, idx] = h_b_lam
-        h[idx, ip] = h_b_psi
-        h[ip, idx] = h_b_psi
-
         h_aa = 0.5 * float((b * y2e) @ (1.0 - sigma * b)) * sigma \
             - 0.5 * sigma * np.sum(b) - 1.0 / self.sigma0_sq
         h_ll = -0.5 * float(np.sum(y2e)) - 1.0 / self.sigma0_sq
@@ -484,10 +460,12 @@ class SvModel:
             p_phi += float((b[1:] - phi * b[:-1]) @ b[:-1])
             dp_dphi -= float(b[:-1] @ b[:-1])
         h_pp = dp_dphi * dphi ** 2 + p_phi * d2phi - 1.0 / self.sigma0_sq
-        h[ia, ia] = h_aa
-        h[il, il] = h_ll
-        h[ia, il] = h_al
-        h[il, ia] = h_al
-        h[ip, ip] = h_pp
+        # the latent block is tridiagonal with phi off the diagonal;
         # d2/dpsi dlambda = d2/dpsi dalpha = 0
-        return h.tocsr()
+        h_b = diag_b * vb + h_b_alpha * va + h_b_lam * vl + h_b_psi * vp
+        h_b[:-1] += phi * vb[1:]
+        h_b[1:] += phi * vb[:-1]
+        h_alpha = h_b_alpha @ vb + h_aa * va + h_al * vl
+        h_lam = h_b_lam @ vb + h_al * va + h_ll * vl
+        h_psi = h_b_psi @ vb + h_pp * vp
+        return np.concatenate([h_b, [h_alpha, h_lam, h_psi]])

@@ -506,15 +506,3 @@ def stationarity_check_t(nu: float, d: int = 1, scale=None, sigma_sq: float = 1.
     out["SD"] = (sd_samples.mean(axis=0),
                  sd_samples.std(axis=0, ddof=1) / math.sqrt(n_samples))
     return out
-
-
-def table_rows(targets_and_params, divergences=DIVERGENCES):
-    """Metric grid rows (target, params, divergence, metric, value) for CSV export."""
-    rows = []
-    for kind, params in targets_and_params:
-        target = make_target(kind, **params)
-        for div in divergences:
-            fit = uni_fit(target, div)
-            for metric, value in fit.metrics.items():
-                rows.append((kind, repr(params), div, metric, value))
-    return rows

@@ -32,6 +32,11 @@ def central_diff_hess(grad, x, h=1e-5):
     return 0.5 * (hess + hess.T)
 
 
+def hess_dense(model, theta):
+    """The dense Hessian, column j being the product with the j-th unit vector."""
+    return np.column_stack([model.hess_log_h(theta, e) for e in np.eye(model.dim)])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -84,6 +84,14 @@ class TestFitCommand:
         assert rc == 1
         assert "missing_nu.csv" in capsys.readouterr().err
 
+    def test_bad_divergence_nonzero_exit(self, gaussian_setup, tmp_path, capsys):
+        cfg, _, _ = gaussian_setup
+        cfg.write_text(cfg.read_text().replace("divergence = KLD", "divergence = KL"))
+        rc = main(["fit", "--config", str(cfg), "--seed", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "error: divergence must be one of" in capsys.readouterr().err
+
     def test_sweep(self, gaussian_setup, tmp_path):
         cfg, _, _ = gaussian_setup
         text = cfg.read_text() + "seed = 2\noutput_dir = " + \

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from fishervi.optimizers import FitConfig, VariationalState, fit, step_alg1, step_alg2
+from conftest import hess_dense
+from fishervi.optimizers import FitConfig, VariationalState, fit, step
 from fishervi.targets import GlmmModel, SvModel
 
 
@@ -28,7 +29,7 @@ class TestStructuredModels:
                 state = VariationalState.initial(pattern)
                 r = np.random.default_rng(3)
                 for _ in range(30):
-                    state = step_alg1(state, model, div, r)
+                    state, _ = step(state, model, div, 1, r)
                 assert np.all(np.isfinite(state.mu))
                 assert np.all(state.factor.diag > 0)
                 dense = state.factor.as_dense()
@@ -41,7 +42,7 @@ class TestStructuredModels:
             state = VariationalState.initial(model.sparsity_hint())
             r = np.random.default_rng(4)
             for _ in range(30):
-                state = step_alg2(state, model, "SDb", 5, r)
+                state, _ = step(state, model, "SDb", 5, r)
             assert np.all(np.isfinite(state.mu))
 
     def test_sdb_fit_improves_lower_bound(self, glmm):
@@ -61,7 +62,7 @@ class TestStructuredModels:
     def test_glmm_pattern_matches_hessian_support(self, glmm, rng):
         pattern = glmm.sparsity_hint()
         theta = rng.standard_normal(glmm.dim) * 0.2
-        hess = glmm.hess_log_h(theta).toarray()
+        hess = hess_dense(glmm, theta)
         allowed = np.zeros_like(hess, dtype=bool)
         allowed[pattern.rows, pattern.cols] = True
         allowed |= allowed.T

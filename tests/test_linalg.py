@@ -104,9 +104,9 @@ class TestSolves:
         rel_t = np.linalg.norm(f.solve_upper_transpose(bt) - x) / np.linalg.norm(x)
         assert rel_t < 1e-10
 
-    def test_sparse_solve_path_above_cutoff(self, rng):
+    def test_banded_solve_large_pattern(self, rng):
         p = build_pattern(150, [3] * 150, 4, 1)
-        assert p.dim == 454  # exceeds the dense cutoff
+        assert p.dim == 454
         values = rng.standard_normal(p.nnz) * 0.2
         values[p.diag_slots] = 1.0 + rng.random(p.diag_slots.size)
         f = CholFactor.from_values(p, values)

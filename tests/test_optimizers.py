@@ -25,8 +25,7 @@ from fishervi.optimizers import (
     gradient_sd_experiment,
     lower_bound,
     sdb_natural_step,
-    step_alg1,
-    step_alg2,
+    step,
 )
 from fishervi.targets import GaussianTarget, GlmmModel, LogisticModel, SvModel
 
@@ -136,7 +135,7 @@ class TestAlgorithm1:
         mu, factor = random_state(rng, pattern)
         state = VariationalState(mu.copy(), factor, AdadeltaState.zeros(d + pattern.nnz))
         rng_step = np.random.default_rng(99)
-        new = step_alg1(state, target, "KLD", rng_step)
+        new, _ = step(state, target, "KLD", 1, rng_step)
 
         z = np.random.default_rng(99).standard_normal(d)
         t = factor.as_dense()
@@ -150,10 +149,10 @@ class TestAlgorithm1:
         grad = np.concatenate([-g, dscale * (np.outer(u, v)[pattern.rows, pattern.cols])])
         rho, eps = 0.95, 1e-6
         eg2 = (1 - rho) * grad ** 2
-        step = -np.sqrt(eps) / np.sqrt(eg2 + eps) * grad
-        np.testing.assert_allclose(new.mu, mu + step[:d], atol=1e-12)
+        ad_step = -np.sqrt(eps) / np.sqrt(eg2 + eps) * grad
+        np.testing.assert_allclose(new.mu, mu + ad_step[:d], atol=1e-12)
         np.testing.assert_allclose(new.factor.star_values,
-                                   factor.star_values + step[d:], atol=1e-12)
+                                   factor.star_values + ad_step[d:], atol=1e-12)
 
     def test_pattern_preservation(self, rng):
         pattern = build_pattern(4, [2, 1, 2, 1], 2, 1)
@@ -162,7 +161,7 @@ class TestAlgorithm1:
         state = VariationalState.initial(pattern)
         rng_step = np.random.default_rng(5)
         for _ in range(50):
-            state = step_alg1(state, target, "KLD", rng_step)
+            state, _ = step(state, target, "KLD", 1, rng_step)
         dense = state.factor.as_dense()
         mask = np.zeros_like(dense, dtype=bool)
         mask[pattern.rows, pattern.cols] = True
@@ -260,12 +259,6 @@ class TestAlgorithm2:
             direct = batch_objective_direct(theta, g, mu, factor, div)
             np.testing.assert_allclose(trace_form, direct, atol=1e-10, rtol=1e-10)
 
-    def test_batch_size_validation(self, rng):
-        target = GaussianTarget(np.zeros(2), np.eye(2))
-        state = VariationalState.initial(build_dense_pattern(2))
-        with pytest.raises(ValueError):
-            step_alg2(state, target, "SDb", 1, rng)
-
 
 class TestUnbiasedness:
     def test_mu_gradient_means(self, rng):
@@ -346,7 +339,7 @@ class TestFit:
             def grad_log_h(self, theta):
                 raise FloatingPointError("always broken")
 
-            def hess_log_h(self, theta):
+            def hess_log_h(self, theta, v):
                 raise FloatingPointError("always broken")
 
         cfg = FitConfig(divergence="KLD", seed=0, max_iter=200, window=50)
@@ -361,6 +354,20 @@ class TestFit:
         target = GaussianTarget(np.zeros(3), np.eye(3))
         cfg = FitConfig(divergence, seed=0, init_t_scale=1e-305)
         with pytest.raises(FitAbortedError, match="no step succeeded"):
+            fit(target, cfg)
+
+    @pytest.mark.parametrize("divergence", ["FDr", "SDr"])
+    def test_infinite_score_aborts(self, divergence):
+        # a non-finite score reaches the Hessian-vector product as g_eff;
+        # every step must end as a rejection in the advance, never as a
+        # ValueError from the target
+        class InfiniteScore(GaussianTarget):
+            def grad_log_h(self, theta):
+                return np.full(np.shape(theta), np.inf)
+
+        target = InfiniteScore(np.zeros(2), np.eye(2))
+        cfg = FitConfig(divergence, seed=0, max_iter=200, window=50)
+        with np.errstate(invalid="ignore"), pytest.raises(FitAbortedError):
             fit(target, cfg)
 
     @pytest.mark.parametrize("divergence", ["KLD", "SDb"])
@@ -405,6 +412,24 @@ class TestFit:
             theta = nu + factor.solve_upper_transpose(rng.standard_normal(d))
             np.testing.assert_allclose(lower_bound(nu, factor, target, theta),
                                        0.0, atol=1e-10)
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("divergence", "KL"),
+        ("max_iter", 0),
+        ("window", 0),
+        ("batch_size", 1),
+        ("adadelta_rho", 1.0),
+        ("adadelta_eps", 0.0),
+        ("init_t_scale", np.inf),
+    ])
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{"divergence": "SDb", "seed": 0, field: value})
+
+    def test_batch_size_ignored_for_algorithm_1(self):
+        assert FitConfig("KLD", seed=0, batch_size=1).batch_size == 1
 
 
 class TestBam:

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from conftest import central_diff_grad, central_diff_hess, random_spd
+from conftest import central_diff_grad, central_diff_hess, hess_dense, random_spd
 from fishervi.targets import LOG_2PI, GaussianTarget, GlmmModel, LogisticModel, SvModel
-
-
-def hess_dense(model, theta):
-    h = model.hess_log_h(theta)
-    return h.toarray() if hasattr(h, "toarray") else np.asarray(h)
 
 
 def make_models(rng, k):
@@ -41,7 +36,7 @@ class TestGaussianTarget:
     def test_hessian_is_minus_precision(self, rng):
         lamb = random_spd(rng, 3)
         t = GaussianTarget(np.zeros(3), lamb)
-        np.testing.assert_array_equal(t.hess_log_h(rng.standard_normal(3)), -lamb)
+        np.testing.assert_array_equal(hess_dense(t, rng.standard_normal(3)), -lamb)
 
     def test_log_h_quadratic_contract(self, rng):
         # at nu = 0: log h(theta) - log h(0) = -theta^t Lambda theta / 2
@@ -283,3 +278,33 @@ class TestBatchedScore:
         yb[-1][-1] = 2.0
         with pytest.raises(ValueError, match="binary"):
             GlmmModel("bernoulli-logit", xb, zb, yb)
+
+
+class TestHessianVectorProduct:
+    @pytest.mark.parametrize("kind", BATCHED_KINDS)
+    def test_matches_directional_difference_of_score(self, kind, rng):
+        # H(theta) v = (g(theta + eps v) - g(theta - eps v)) / (2 eps) + O(eps^2)
+        model = batched_model(kind, rng)
+        theta = rng.standard_normal(model.dim) * 0.4
+        eps = 1e-5
+        for _ in range(3):
+            v = rng.standard_normal(model.dim)
+            fd = (model.grad_log_h(theta + eps * v) - model.grad_log_h(theta - eps * v)) / (2 * eps)
+            hv = model.hess_log_h(theta, v)
+            assert hv.shape == (model.dim,)
+            np.testing.assert_allclose(hv, fd, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("kind", BATCHED_KINDS)
+    def test_direction_shape_checked(self, kind, rng):
+        model = batched_model(kind, rng)
+        d = model.dim
+        theta = rng.standard_normal(d) * 0.4
+        for bad in (np.zeros(d + 1), np.zeros((d, 1)), np.zeros((d, 2))):
+            with pytest.raises(ValueError, match="v has shape"):
+                model.hess_log_h(theta, bad)
+        # only the shape is checked: a non-finite v is left for the fit
+        # loop to reject as a step, so no ValueError here
+        v = np.zeros(d)
+        v[0] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert model.hess_log_h(theta, v).shape == (d,)
