@@ -22,9 +22,10 @@ import numpy as np
 from scipy.linalg import lapack
 
 # exp(STAR_DIAG_FLOOR) is the smallest diagonal we allow; anything lower is
-# clamped so the factor never underflows to an exactly singular matrix.
+# clamped so the factor never underflows to an exactly singular matrix.  A
+# factor clamped at the floor is therefore solvable by construction.
 STAR_DIAG_FLOOR = -700.0
-SINGULAR_TOL = 1e-300
+SINGULAR_TOL = float(np.exp(STAR_DIAG_FLOOR))
 
 
 class SingularFactorError(ValueError):
@@ -260,7 +261,8 @@ class CholFactor:
 
     def _check_diag(self):
         if self._singular:
-            raise SingularFactorError("factor diagonal below 1e-300; solve would overflow")
+            raise SingularFactorError(
+                f"factor diagonal below {SINGULAR_TOL:.3g}; solve would overflow")
 
     def solve_lower(self, b: np.ndarray) -> np.ndarray:
         """x with T x = b (forward substitution; b may be a matrix of columns)."""

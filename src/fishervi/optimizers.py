@@ -175,66 +175,45 @@ def gradient_alg1(mu, factor, model, divergence, z):
 def gradient_alg2(mu, factor, model, divergence, z_mat):
     """Descent gradients from a batch z_mat (d, B); Hessian-free.
 
-    All matrix products with the batch covariances use their rank-B factors
-    and are evaluated only at pattern slots; Sigma actions are triangular
-    solves.
+    The batch matrices U = C_theta + delta delta^t, V = C_g + g_bar g_bar^t and
+    W = C_theta_g - delta g_bar^t enter through rank-(B+1) factors: U = A A^t,
+    V = G G^t and W = A C^t with A = [Theta_c/sqrt(B), delta],
+    G = [G_c/sqrt(B), g_bar] and C = [G_c/sqrt(B), -g_bar].  Every product
+    with them is formed only at pattern slots, and Sigma actions are
+    triangular solves.  Under `step`, overflow here ends as a rejected step
+    with no warning.
     """
     if divergence not in ALG2_DIVERGENCES:
         raise ValueError(f"divergence must be one of {ALG2_DIVERGENCES}")
-    pattern = factor.pattern
-    rows, cols = pattern.rows, pattern.cols
+    rows, cols = factor.pattern.rows, factor.pattern.cols
     dscale = DiagScaler.from_factor(factor)
-    b = z_mat.shape[1]
+    root_b = np.sqrt(z_mat.shape[1])
+
+    def slots(x, y):  # (x y^t) at the pattern slots
+        return np.einsum("ij,ij->i", x[rows], y[cols])
 
     theta_mat = mu[:, None] + factor.solve_upper_transpose(z_mat)
     g_mat = model.grad_log_h(theta_mat)
-
     theta_bar = theta_mat.mean(axis=1)
     g_bar = g_mat.mean(axis=1)
-    tc = theta_mat - theta_bar[:, None]  # (d, B) factor of C_theta
-    gc = g_mat - g_bar[:, None]          # (d, B) factor of C_g / C_theta_g
-    delta = mu - theta_bar
+    gc = (g_mat - g_bar[:, None]) / root_b
+    a = np.column_stack([(theta_mat - theta_bar[:, None]) / root_b, mu - theta_bar])
 
-    t_tc = factor.rmatvec(tc)            # T^t Theta_c, (d, B)
-    t_delta = factor.rmatvec(delta)      # T^t delta
-    g_mu = 2.0 * factor.matvec(t_delta) - 2.0 * g_bar
-    # (U T)[slots] with U = C_theta + delta delta^t
-    ut_slots = (np.einsum("ij,ij->i", tc[rows, :], t_tc[cols, :]) / b
-                + delta[rows] * t_delta[cols])
+    t_a = factor.rmatvec(a)                               # T^t A
+    g_mu = 2.0 * factor.matvec(t_a[:, -1]) - 2.0 * g_bar  # last column: T^t delta
 
     if divergence == "SDb":
-        desc_mu = g_mu
-        # Sigma V T^{-t} with V = C_g + g_bar g_bar^t, via two triangular
-        # solves on the stacked right-hand side [G_c, g_bar]
-        s = factor.solve_lower(np.column_stack([gc, g_bar]))   # T^{-1} [G_c, g_bar]
-        sig = factor.solve_upper_transpose(s)
-        svt_slots = (np.einsum("ij,ij->i", sig[rows, :b], s[cols, :b]) / b
-                     + sig[rows, b] * s[cols, b])
-        desc_t = dscale.apply(2.0 * (ut_slots - svt_slots))
-        return desc_mu, desc_t, theta_mat
+        # (U T)[slots] - (Sigma V T^{-t})[slots], Sigma V T^{-t} = (Sigma G)(T^{-1} G)^t
+        s = factor.solve_lower(np.column_stack([gc, g_bar]))  # T^{-1} G
+        sig = factor.solve_upper_transpose(s)                 # Sigma G
+        return g_mu, dscale.apply(2.0 * (slots(a, t_a) - slots(sig, s))), theta_mat
 
-    # FDb
-    desc_mu = factor.matvec(factor.rmatvec(g_mu))
-    t_gc = factor.rmatvec(gc)
-    t_gbar = factor.rmatvec(g_bar)
-    # W T and W^t T with W = C_theta_g - delta g_bar^t
-    wt_slots = (np.einsum("ij,ij->i", tc[rows, :], t_gc[cols, :]) / b
-                - delta[rows] * t_gbar[cols])
-    wtt_slots = (np.einsum("ij,ij->i", gc[rows, :], t_tc[cols, :]) / b
-                 - g_bar[rows] * t_delta[cols])
-    # P = T T^t actions on the rank factors
-    p_tc = factor.matvec(t_tc)
-    p_delta = factor.matvec(t_delta)
-    # (P U T)[slots]: P U T = (P Theta_c)(Theta_c^t T)/B + (P delta)(delta^t T)
-    put_slots = (np.einsum("ij,ij->i", p_tc[rows, :], t_tc[cols, :]) / b
-                 + p_delta[rows] * t_delta[cols])
-    # (U P T)[slots]: U P T = Theta_c (P Theta_c)^t T / B + delta (P delta)^t T
-    tp_tc = factor.rmatvec(p_tc)     # T^t (P Theta_c) = ((P Theta_c)^t T)^t
-    tp_delta = factor.rmatvec(p_delta)
-    upt_slots = (np.einsum("ij,ij->i", tc[rows, :], tp_tc[cols, :]) / b
-                 + delta[rows] * tp_delta[cols])
-    desc_t = dscale.apply(2.0 * (wt_slots + wtt_slots + put_slots + upt_slots))
-    return desc_mu, desc_t, theta_mat
+    # FDb: ((W + W^t + P U + U P) T)[slots] with P = T T^t
+    c = np.column_stack([gc, -g_bar])
+    p_a = factor.matvec(t_a)                              # P A
+    desc_t = 2.0 * (slots(a, factor.rmatvec(c)) + slots(c, t_a)
+                    + slots(p_a, t_a) + slots(a, factor.rmatvec(p_a)))
+    return factor.matvec(factor.rmatvec(g_mu)), dscale.apply(desc_t), theta_mat
 
 
 def batch_objective_trace(stats: BatchStats, mu, factor: CholFactor, divergence: str) -> float:
@@ -282,13 +261,16 @@ def batch_objective_direct(theta_mat, g_mat, mu, factor: CholFactor, divergence:
 def _advance(state: VariationalState, desc_mu, desc_t):
     d = state.mu.size
     grad = np.concatenate([desc_mu, desc_t])
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite gradient estimate")
     step, ad_next = adadelta_update(state.adadelta, grad)
     mu_next = state.mu + step[:d]
     star_next = state.factor.star_values + step[d:]
-    if not (np.all(np.isfinite(mu_next)) and np.all(np.isfinite(star_next))):
+    if not (np.isfinite(mu_next).all() and np.isfinite(star_next).all()):
         raise FloatingPointError("non-finite parameter update")
+    # an infinite E[g^2] would zero those coordinates' steps for good
+    if not (np.isfinite(ad_next.eg2).all() and np.isfinite(ad_next.edx2).all()):
+        raise FloatingPointError("non-finite Adadelta state")
     factor_next = CholFactor.from_star(state.factor.pattern, star_next)
     return VariationalState(mu_next, factor_next, ad_next, state.iteration + 1)
 
@@ -300,20 +282,23 @@ def step(state: VariationalState, model, divergence: str, batch: int, rng):
     draws a (d, batch) z and then a separate z for the bound (Algorithm 1
     ignores `batch`).  This is `fit`'s draw order.  A non-finite
     bound raises FloatingPointError before the advance, so a rejected step
-    leaves (mu, T*) as they were.
+    leaves (mu, T*) as they were.  numpy overflow inside the step is silent:
+    the finiteness checks on the bound, the gradient, the update and the
+    Adadelta state turn it into a FloatingPointError.
     """
-    if divergence in ALG2_DIVERGENCES:
-        z = rng.standard_normal((state.mu.size, batch))
-        desc_mu, desc_t, _ = gradient_alg2(state.mu, state.factor, model, divergence, z)
-        z_lb = rng.standard_normal(state.mu.size)
-        theta_lb = state.mu + state.factor.solve_upper_transpose(z_lb)
-    else:
-        z = rng.standard_normal(state.mu.size)
-        desc_mu, desc_t, theta_lb = gradient_alg1(state.mu, state.factor, model, divergence, z)
-    lb = lower_bound(state.mu, state.factor, model, theta_lb)
-    if not np.isfinite(lb):
-        raise FloatingPointError("non-finite lower bound")
-    return _advance(state, desc_mu, desc_t), lb
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if divergence in ALG2_DIVERGENCES:
+            z = rng.standard_normal((state.mu.size, batch))
+            desc_mu, desc_t, _ = gradient_alg2(state.mu, state.factor, model, divergence, z)
+            z_lb = rng.standard_normal(state.mu.size)
+            theta_lb = state.mu + state.factor.solve_upper_transpose(z_lb)
+        else:
+            z = rng.standard_normal(state.mu.size)
+            desc_mu, desc_t, theta_lb = gradient_alg1(state.mu, state.factor, model, divergence, z)
+        lb = lower_bound(state.mu, state.factor, model, theta_lb)
+        if not np.isfinite(lb):
+            raise FloatingPointError("non-finite lower bound")
+        return _advance(state, desc_mu, desc_t), lb
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +334,10 @@ class FitConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.init_mu is not None:
+            mu0 = np.asarray(self.init_mu, dtype=float)
+            if mu0.ndim != 1 or not np.all(np.isfinite(mu0)):
+                raise ValueError("init_mu must be a 1-D array of finite values")
 
     def echo(self) -> dict:
         out = {
@@ -427,6 +416,9 @@ def fit(model, config: FitConfig) -> FitResult:
     pattern = config.pattern if config.pattern is not None else model.sparsity_hint()
     if pattern.dim != model.dim:
         raise ValueError("pattern dimension does not match model")
+    if config.init_mu is not None and len(config.init_mu) != model.dim:
+        raise ValueError(f"init_mu has length {len(config.init_mu)}, "
+                         f"but the model has dimension {model.dim}")
     state = VariationalState.initial(pattern, config.init_mu, config.init_t_scale,
                                      config.adadelta_rho, config.adadelta_eps)
     batch = config.batch_size or default_batch_size(model, config.divergence)

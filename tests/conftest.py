@@ -1,6 +1,9 @@
-"""Shared finite-difference oracles for gradient and Hessian verification."""
+"""Shared finite-difference oracles, random inputs and pattern strategies."""
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from fishervi.linalg import build_pattern
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -47,3 +50,12 @@ def random_spd(rng, d, jitter=None):
     m = a @ a.T
     m += (jitter if jitter is not None else 0.5 * d) * np.eye(d)
     return m
+
+
+@st.composite
+def block_patterns(draw):
+    n_blocks = draw(st.integers(1, 6))
+    block_dims = draw(st.lists(st.integers(1, 4), min_size=n_blocks, max_size=n_blocks))
+    global_dim = draw(st.integers(0, 4))
+    markov_order = draw(st.integers(0, n_blocks - 1))
+    return build_pattern(n_blocks, block_dims, global_dim, markov_order)

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import block_patterns
 from fishervi.linalg import (
+    SINGULAR_TOL,
+    STAR_DIAG_FLOOR,
     CholFactor,
     DiagScaler,
     SingularFactorError,
@@ -82,12 +85,17 @@ class TestSolves:
                                    [-0.5, 3.0])
 
     def test_singular_factor_detected(self):
+        # a diagonal clamped at exp(STAR_DIAG_FLOOR) is exactly SINGULAR_TOL and
+        # solves; only a diagonal below it (reachable through from_values) is singular
         p = build_dense_pattern(2)
         star = np.array([-800.0, 0.5, 0.0])  # diag slots are 0 and 2
         f = CholFactor.from_star(p, star)
-        assert f.diag[0] < 1e-300  # clamped at exp(-700)
+        assert f.diag[0] == SINGULAR_TOL == np.exp(STAR_DIAG_FLOOR)
+        assert np.all(np.isfinite(f.solve_lower(np.ones(2))))
+        assert np.all(np.isfinite(f.solve_upper_transpose(np.ones(2))))
+        g = CholFactor.from_values(p, np.array([1e-310, 0.5, 1.0]))
         with pytest.raises(SingularFactorError):
-            f.solve_lower(np.ones(2))
+            g.solve_lower(np.ones(2))
 
     def test_solve_roundtrip_random_sparse(self, rng):
         # recover x from T x for a block pattern with d up to 200
@@ -121,15 +129,6 @@ class TestSolves:
         f = CholFactor.from_values(p, values)
         b = rng.standard_normal((5, 3))
         np.testing.assert_allclose(f.as_dense() @ f.solve_lower(b), b, atol=1e-12)
-
-
-@st.composite
-def block_patterns(draw):
-    n_blocks = draw(st.integers(1, 6))
-    block_dims = draw(st.lists(st.integers(1, 4), min_size=n_blocks, max_size=n_blocks))
-    global_dim = draw(st.integers(0, 4))
-    markov_order = draw(st.integers(0, n_blocks - 1))
-    return build_pattern(n_blocks, block_dims, global_dim, markov_order)
 
 
 class TestBandTailSolver:

@@ -1,9 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_spd
+from conftest import block_patterns, random_spd
 from fishervi.linalg import CholFactor, build_dense_pattern, build_pattern, vech_gather
 from fishervi.optimizers import (
     AdadeltaState,
@@ -35,6 +38,30 @@ def random_state(rng, pattern, t_scale=1.0):
     values[pattern.diag_slots] = t_scale * (0.8 + 0.4 * rng.random(pattern.diag_slots.size))
     factor = CholFactor.from_values(pattern, values)
     return rng.standard_normal(pattern.dim) * 0.5, factor
+
+
+def dense_alg2_reference(mu, factor, target, z):
+    """{divergence: (desc_mu, desc_t)} from the dense summary-statistic displays."""
+    pattern = factor.pattern
+    t = factor.as_dense()
+    t_inv = np.linalg.inv(t)
+    sigma = t_inv.T @ t_inv
+    theta = mu[:, None] + t_inv.T @ z
+    g = np.stack([target.grad_log_h(theta[:, i]) for i in range(z.shape[1])], axis=1)
+    stats = compute_batch_stats(theta, g)
+    u = stats.u_mat(mu)
+    v = stats.v_mat()
+    w = stats.w_mat(mu)
+    prec = t @ t.T
+    g_mu = 2 * prec @ (mu - stats.theta_bar) - 2 * stats.g_bar
+    dscale = np.ones(pattern.nnz)
+    dscale[pattern.diag_slots] = factor.diag
+
+    def vech(m):
+        return m[pattern.rows, pattern.cols]
+
+    return {"SDb": (g_mu, 2 * dscale * vech(u @ t - sigma @ v @ t_inv.T)),
+            "FDb": (prec @ g_mu, 2 * dscale * vech((w + w.T + prec @ u + u @ prec) @ t))}
 
 
 class TestAdadelta:
@@ -217,32 +244,27 @@ class TestAlgorithm2:
         target = GaussianTarget(rng.standard_normal(d), lamb)
         pattern = build_pattern(5, [1] * 5, 0, 1)
         mu, factor = random_state(rng, pattern)
-        b = 7
-        z = rng.standard_normal((d, b))
-        t = factor.as_dense()
-        t_inv = np.linalg.inv(t)
-        sigma = t_inv.T @ t_inv
-        theta = mu[:, None] + t_inv.T @ z
-        g = np.stack([target.grad_log_h(theta[:, i]) for i in range(b)], axis=1)
-        stats = compute_batch_stats(theta, g)
-        u = stats.u_mat(mu)
-        v = stats.v_mat()
-        w = stats.w_mat(mu)
-        prec = t @ t.T
-        g_mu = 2 * prec @ (mu - stats.theta_bar) - 2 * stats.g_bar
-        dscale = np.ones(pattern.nnz)
-        dscale[pattern.diag_slots] = factor.diag
-
-        def vech(m):
-            return m[pattern.rows, pattern.cols]
-
-        ref = {"SDb": (g_mu, 2 * dscale * vech(u @ t - sigma @ v @ t_inv.T)),
-               "FDb": (prec @ g_mu,
-                       2 * dscale * vech((w + w.T + prec @ u + u @ prec) @ t))}
-        for div, (ref_mu, ref_t) in ref.items():
+        z = rng.standard_normal((d, 7))
+        for div, (ref_mu, ref_t) in dense_alg2_reference(mu, factor, target, z).items():
             d_mu, d_t, _ = gradient_alg2(mu, factor, target, div, z)
             np.testing.assert_allclose(d_mu, ref_mu, atol=1e-10)
             np.testing.assert_allclose(d_t, ref_t, atol=1e-10)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(pattern=st.one_of(block_patterns(), st.integers(1, 8).map(build_dense_pattern)),
+           b=st.integers(2, 6), divergence=st.sampled_from(["FDb", "SDb"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_summary_formulas(self, pattern, b, divergence, seed):
+        # the rank-(B+1) slot algebra against dense U, V, W over random patterns
+        rng = np.random.default_rng(seed)
+        target = GaussianTarget(rng.standard_normal(pattern.dim), random_spd(rng, pattern.dim))
+        mu, factor = random_state(rng, pattern)
+        z = rng.standard_normal((pattern.dim, b))
+        ref_mu, ref_t = dense_alg2_reference(mu, factor, target, z)[divergence]
+        d_mu, d_t, _ = gradient_alg2(mu, factor, target, divergence, z)
+        for got, ref in ((d_mu, ref_mu), (d_t, ref_t)):  # 1e-10 of the largest entry
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-10 * max(1.0, np.max(np.abs(ref))))
 
     def test_batch_objective_two_routes_agree(self, rng):
         d = 6
@@ -388,6 +410,28 @@ class TestFit:
         np.testing.assert_array_equal(res.state.factor.values, [1.0, 0.0, 1.0])
         assert res.state.iteration == 20
 
+    def test_overflowing_adadelta_state_rejected(self):
+        # a score of 1e200 gives a finite gradient whose square overflows
+        # E[g^2]; the step is rejected, the state stays, and no warning escapes
+        class HugeScore(GaussianTarget):
+            def grad_log_h(self, theta):
+                return np.full(np.shape(theta), 1e200)
+
+        target = HugeScore(np.zeros(2), np.eye(2))
+        cfg = FitConfig("KLD", seed=0, max_iter=20, window=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(target, cfg)
+        assert res.rejected_steps == 20
+        np.testing.assert_array_equal(res.state.mu, 0.0)
+        np.testing.assert_array_equal(res.state.factor.values, [1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(res.state.adadelta.eg2, 0.0)
+
+    def test_init_mu_length_checked(self):
+        target = GaussianTarget(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="init_mu"):
+            fit(target, FitConfig("SDb", seed=0, init_mu=np.zeros(1)))
+
     def test_default_batch_size_from_target(self):
         logistic = LogisticModel(np.ones((2, 1)), np.array([0.0, 1.0]))
         glmm = GlmmModel("poisson-log", [np.ones((1, 1))], [np.ones((1, 1))], [np.ones(1)])
@@ -423,6 +467,7 @@ class TestFitConfig:
         ("adadelta_rho", 1.0),
         ("adadelta_eps", 0.0),
         ("init_t_scale", np.inf),
+        ("init_mu", [0.0, np.nan]),
     ])
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(ValueError, match=field):
