@@ -26,6 +26,12 @@ class ConfigError(ValueError):
     pass
 
 
+# reported as one "error: ..." line and exit status 1; FloatingPointError is
+# the base of every numerical failure
+_REPORTED_ERRORS = (FileNotFoundError, ValueError, FloatingPointError,
+                   optimizers.FitAbortedError)
+
+
 def parse_config_text(text: str) -> dict:
     cfg = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -50,13 +56,16 @@ def load_config(path) -> dict:
 
 def _get(cfg, key, default=None, cast=str):
     if key not in cfg:
-        if default is None and cast is not str:
-            return None
         return default
     v = cfg[key]
     if cast is bool:
         return v.lower() in ("1", "true", "yes")
     return cast(v)
+
+
+def _given(cfg, cast, **keys):
+    """{name: cast(cfg[key])} for the keys cfg sets; unset ones keep the callee's default."""
+    return {name: cast(cfg[key]) for name, key in keys.items() if key in cfg}
 
 
 def _path(cfg, key, required=False):
@@ -81,20 +90,20 @@ def build_model(cfg: dict):
                           delimiter=",", ndmin=2)
         return GaussianTarget(nu, lamb)
     if kind == "logistic":
-        sigma0 = _get(cfg, "model.sigma0_sq", 100.0, float)
+        prior = _given(cfg, float, sigma0_sq="model.sigma0_sq")
         if "model.data_libsvm" in cfg:
             x, y = datasets.load_libsvm(_path(cfg, "model.data_libsvm", required=True))
             if _get(cfg, "model.intercept", True, bool):
                 import scipy.sparse
                 x = scipy.sparse.hstack(
                     [scipy.sparse.csr_matrix(np.ones((x.shape[0], 1))), x]).tocsr()
-            return LogisticModel(x, y, sigma0)
+            return LogisticModel(x, y, **prior)
         design = datasets.load_csv_design(
             _path(cfg, "model.data_csv", required=True),
             response=_get(cfg, "model.response", "y"),
             intercept=_get(cfg, "model.intercept", True, bool),
         )
-        return LogisticModel(design.X, design.y, sigma0)
+        return LogisticModel(design.X, design.y, **prior)
     if kind == "glmm":
         dataset = _get(cfg, "model.dataset")
         path = _path(cfg, "model.data_csv", required=True)
@@ -107,25 +116,22 @@ def build_model(cfg: dict):
         else:
             raise ConfigError(f"unknown glmm dataset {dataset!r}")
         return GlmmModel(d.family, d.X_blocks, d.Z_blocks, d.y_blocks,
-                         _get(cfg, "model.sigma_beta_sq", 100.0, float),
-                         _get(cfg, "model.sigma_zeta_sq", 100.0, float))
+                         **_given(cfg, float, sigma_beta_sq="model.sigma_beta_sq",
+                                  sigma_zeta_sq="model.sigma_zeta_sq"))
     if kind == "sv":
         y = datasets.load_returns(_path(cfg, "model.rates_csv", required=True))
-        return SvModel(y, _get(cfg, "model.sigma0_sq", 10.0, float))
+        return SvModel(y, **_given(cfg, float, sigma0_sq="model.sigma0_sq"))
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def fit_config_from(cfg: dict, seed: int) -> optimizers.FitConfig:
-    batch = cfg.get("optimizer.batch_size")
     return optimizers.FitConfig(
         divergence=_get(cfg, "divergence"),
         seed=seed,
-        max_iter=_get(cfg, "optimizer.max_iter", 60_000, int),
-        window=_get(cfg, "optimizer.window", 1000, int),
-        batch_size=int(batch) if batch is not None else None,
-        adadelta_rho=_get(cfg, "optimizer.adadelta_rho", 0.95, float),
-        adadelta_eps=_get(cfg, "optimizer.adadelta_eps", 1e-6, float),
-        init_t_scale=_get(cfg, "init.t_scale", 1.0, float),
+        **_given(cfg, int, max_iter="optimizer.max_iter", window="optimizer.window",
+                 batch_size="optimizer.batch_size"),
+        **_given(cfg, float, adadelta_rho="optimizer.adadelta_rho",
+                 adadelta_eps="optimizer.adadelta_eps", init_t_scale="init.t_scale"),
     )
 
 
@@ -153,9 +159,8 @@ def run(cfg: dict, seed: int, out_dir: str) -> dict:
     ref_key = _path(cfg, "compare.ref_csv")
     if ref_key is not None:
         ref = diagnostics.load_reference_csv(ref_key)
-        report = diagnostics.compare(result.state.mu, result.state.factor, ref,
-                                     seed=seed,
-                                     replicates=_get(cfg, "compare.replicates", 50, int))
+        report = diagnostics.compare(result.state.mu, result.state.factor, ref, seed=seed,
+                                     **_given(cfg, int, replicates="compare.replicates"))
         with open(os.path.join(out_dir, "comparison.json"), "w") as fh:
             fh.write(report.to_json())
         report.write_csv(os.path.join(out_dir, "comparison.csv"))
@@ -272,16 +277,25 @@ def _cmd_gradvar(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """Run every config; a failing one is reported by path and sets exit status 1."""
     def one(path):
         cfg = load_config(path)
         seed = _get(cfg, "seed", 0, int)
         out = _get(cfg, "output_dir", os.path.splitext(path)[0] + "_out")
-        return path, run(cfg, seed, out)
+        return run(cfg, seed, out)
 
+    status = 0
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        for path, info in pool.map(one, args.configs):
+        futures = [pool.submit(one, path) for path in args.configs]
+        for path, future in zip(args.configs, futures):
+            try:
+                info = future.result()
+            except _REPORTED_ERRORS as exc:
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                status = 1
+                continue
             print(f"{path}: stop={info['stop_reason']} iters={info['iterations']}")
-    return 0
+    return status
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -343,7 +357,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except _REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,7 @@ STAR_DIAG_FLOOR = -700.0
 SINGULAR_TOL = float(np.exp(STAR_DIAG_FLOOR))
 
 
-class SingularFactorError(ValueError):
+class SingularFactorError(FloatingPointError):
     """Raised when a triangular solve meets a factor with underflowed diagonal."""
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import CholFactor, DiagScaler, SingularFactorError, SparsityPattern
+from .linalg import CholFactor, DiagScaler, SparsityPattern
 from .targets import GaussianTarget, LOG_2PI
 
 ALG1_DIVERGENCES = ("KLD", "FDr", "SDr")
@@ -30,10 +30,10 @@ MAX_CONSECUTIVE_REJECTS = 50
 
 
 class FitAbortedError(RuntimeError):
-    """More than MAX_CONSECUTIVE_REJECTS rejected (non-finite or singular) steps in a row."""
+    """More than MAX_CONSECUTIVE_REJECTS rejected steps in a row."""
 
 
-class IllConditionedUpdate(RuntimeError):
+class IllConditionedUpdate(FloatingPointError):
     """Closed-form covariance update exceeded the conditioning budget."""
 
 
@@ -280,11 +280,12 @@ def step(state: VariationalState, model, divergence: str, batch: int, rng):
 
     Algorithm 1 draws one z and evaluates the bound at its theta; Algorithm 2
     draws a (d, batch) z and then a separate z for the bound (Algorithm 1
-    ignores `batch`).  This is `fit`'s draw order.  A non-finite
-    bound raises FloatingPointError before the advance, so a rejected step
-    leaves (mu, T*) as they were.  numpy overflow inside the step is silent:
-    the finiteness checks on the bound, the gradient, the update and the
-    Adadelta state turn it into a FloatingPointError.
+    ignores `batch`).  This is `fit`'s draw order, and a step rejected for a
+    non-finite value makes the same draws.  Targets and factors compute
+    through non-finite values; this is the one place that judges them.
+    numpy overflow is silent, and the checks on the bound, the gradient, the
+    update and the Adadelta state raise FloatingPointError.  The bound is
+    checked before the advance, so a rejected step leaves (mu, T*) as is.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if divergence in ALG2_DIVERGENCES:
@@ -410,7 +411,10 @@ def fit(model, config: FitConfig) -> FitResult:
 
     Every `window` iterations the mean one-sample lower bound over the window
     is appended to the trace; once five averages exist, a negative OLS slope
-    of the most recent five stops the run.
+    of the most recent five stops the run.  A step that raises
+    FloatingPointError, the base of every numerical failure, is rejected: the
+    state stays and the window counts the last accepted lower bound (0 before
+    any).  More than MAX_CONSECUTIVE_REJECTS in a row raise FitAbortedError.
     """
     rng = np.random.default_rng(config.seed)
     pattern = config.pattern if config.pattern is not None else model.sparsity_hint()
@@ -438,7 +442,7 @@ def fit(model, config: FitConfig) -> FitResult:
             state, lb = step(state, model, config.divergence, batch, rng)
             last_lb = lb
             consecutive_rejects = 0
-        except (FloatingPointError, SingularFactorError):
+        except FloatingPointError:
             rejected += 1
             consecutive_rejects += 1
             state = VariationalState(state.mu, state.factor, state.adadelta,

@@ -7,8 +7,10 @@ lower-bound traces), its gradient, and the Hessian-vector product
 assembling H; H is confined to the model's conditional-independence
 pattern (`sparsity_hint`).  The score is batched: `grad_log_h` takes theta
 of shape (dim,) or (dim, B) and returns the same shape, column j being the
-score at theta[:, j]; `log_h` and `hess_log_h` take one theta.  Evaluation
-is pure; models are immutable after construction.
+score at theta[:, j]; `log_h` and `hess_log_h` take one theta.  Shapes are
+checked; finiteness is not: a non-finite theta, or one whose value
+overflows, gives a non-finite result, which the fit step rejects.
+Evaluation is pure; models are immutable after construction.
 """
 from __future__ import annotations
 
@@ -35,9 +37,10 @@ class TargetModel(Protocol):
     `grad_log_h` accepts theta of shape (dim,) or (dim, B) and returns the
     score with the same shape, column by column; `log_h` takes theta of
     shape (dim,), and `hess_log_h(theta, v)` returns the Hessian-vector
-    product H(theta) v of shape (dim,) for theta and v of shape (dim,).  An
-    optional `default_batch_size` attribute sets the FDb/SDb batch size when
-    the fit config leaves it unset.
+    product H(theta) v of shape (dim,) for theta and v of shape (dim,).  A
+    wrong shape raises ValueError; non-finite values are computed through,
+    not checked.  An optional `default_batch_size` attribute sets the
+    FDb/SDb batch size when the fit config leaves it unset.
     """
 
     dim: int
@@ -51,34 +54,18 @@ class TargetModel(Protocol):
     def hess_log_h(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray: ...
 
 
-def _check_theta(theta, dim, batch=False):
-    """theta as a float array of shape (dim,), or with batch=True also (dim, B)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (dim,) and not (batch and theta.ndim == 2 and theta.shape[0] == dim):
+def _check_shape(x, dim, name="theta", batch=False):
+    """x as a float array of shape (dim,), or with batch=True also (dim, B)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,) and not (batch and x.ndim == 2 and x.shape[0] == dim):
         expected = f"({dim},) or ({dim}, B)" if batch else f"({dim},)"
-        raise ValueError(f"theta has shape {theta.shape}, expected {expected}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta contains non-finite entries")
-    return theta
-
-
-def _check_direction(v, dim):
-    """v as a float array of shape (dim,); a non-finite v is left to the caller."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (dim,):
-        raise ValueError(f"v has shape {v.shape}, expected ({dim},)")
-    return v
+        raise ValueError(f"{name} has shape {x.shape}, expected {expected}")
+    return x
 
 
 def _columns(v, theta):
     """v of shape (dim,) shaped to broadcast against theta of shape (dim,) or (dim, B)."""
     return v if theta.ndim == 1 else v[:, None]
-
-
-def _check_finite(value, context):
-    if not np.all(np.isfinite(value)):
-        raise FloatingPointError(f"non-finite result in {context}")
-    return value
 
 
 class GaussianTarget:
@@ -104,18 +91,17 @@ class GaussianTarget:
         return build_dense_pattern(self.dim)
 
     def log_h(self, theta) -> float:
-        theta = _check_theta(theta, self.dim)
-        r = theta - self.nu
-        val = -0.5 * self.dim * LOG_2PI + 0.5 * self._log_det_lamb - 0.5 * r @ (self.lamb @ r)
-        return float(_check_finite(val, "GaussianTarget.log_h"))
+        r = _check_shape(theta, self.dim) - self.nu
+        return float(-0.5 * self.dim * LOG_2PI + 0.5 * self._log_det_lamb
+                     - 0.5 * r @ (self.lamb @ r))
 
     def grad_log_h(self, theta) -> np.ndarray:
-        theta = _check_theta(theta, self.dim, batch=True)
+        theta = _check_shape(theta, self.dim, batch=True)
         return -self.lamb @ (theta - _columns(self.nu, theta))
 
     def hess_log_h(self, theta, v) -> np.ndarray:
-        _check_theta(theta, self.dim)
-        return -self.lamb @ _check_direction(v, self.dim)
+        _check_shape(theta, self.dim)
+        return -self.lamb @ _check_shape(v, self.dim, "v")
 
 
 class LogisticModel:
@@ -146,24 +132,23 @@ class LogisticModel:
         return self.X @ theta
 
     def log_h(self, theta) -> float:
-        theta = _check_theta(theta, self.dim)
+        theta = _check_shape(theta, self.dim)
         eta = self._logits(theta)
-        val = (
+        return float(
             float(self.y @ eta)
             - float(np.sum(softplus(eta)))
             - 0.5 * self.dim * np.log(2.0 * np.pi * self.sigma0_sq)
             - 0.5 * float(theta @ theta) / self.sigma0_sq
         )
-        return float(_check_finite(val, "LogisticModel.log_h"))
 
     def grad_log_h(self, theta) -> np.ndarray:
-        theta = _check_theta(theta, self.dim, batch=True)
+        theta = _check_shape(theta, self.dim, batch=True)
         resid = _columns(self.y, theta) - expit(self._logits(theta))
         return self.X.T @ resid - theta / self.sigma0_sq
 
     def hess_log_h(self, theta, v) -> np.ndarray:
-        theta = _check_theta(theta, self.dim)
-        v = _check_direction(v, self.dim)
+        theta = _check_shape(theta, self.dim)
+        v = _check_shape(v, self.dim, "v")
         w = expit(self._logits(theta))
         return -(self.X.T @ (w * (1.0 - w) * (self.X @ v))) - v / self.sigma0_sq
 
@@ -253,12 +238,9 @@ class GlmmModel:
         return build_pattern(self.n_subjects, [self.r] * self.n_subjects,
                              self.p + self.n_zeta, 0)
 
-    def unpack(self, theta, batch=False):
-        """(b, beta, zeta), b of shape (n_subjects, r); with batch=True theta
-        may be (dim, B) and each part gains a trailing axis of length B."""
-        return self._split(_check_theta(theta, self.dim, batch))
-
-    def _split(self, theta):
+    def unpack(self, theta):
+        """(b, beta, zeta), b of shape (n_subjects, r); for theta of shape
+        (dim, B) each part gains a trailing axis of length B."""
         nb = self.n_subjects * self.r
         b = theta[:nb].reshape((self.n_subjects, self.r) + theta.shape[1:])
         beta = theta[nb:nb + self.p]
@@ -293,7 +275,7 @@ class GlmmModel:
         return out
 
     def log_h(self, theta) -> float:
-        b, beta, zeta = self.unpack(theta)
+        b, beta, zeta = self.unpack(_check_shape(theta, self.dim))
         w, _ = self.w_matrix(zeta)
         eta = self._eta(b, beta)
         val = self._y_const + float(self.y @ eta - np.sum(self._A(eta)))
@@ -305,11 +287,11 @@ class GlmmModel:
         val -= 0.5 * self.p * np.log(2.0 * np.pi * self.sigma_beta_sq)
         val -= 0.5 * float(zeta @ zeta) / self.sigma_zeta_sq
         val -= 0.5 * self.n_zeta * np.log(2.0 * np.pi * self.sigma_zeta_sq)
-        return float(_check_finite(val, "GlmmModel.log_h"))
+        return float(val)
 
     def grad_log_h(self, theta) -> np.ndarray:
         # written for a trailing batch axis ("..."), absent for a single theta
-        b, beta, zeta = self.unpack(theta, batch=True)
+        b, beta, zeta = self.unpack(_check_shape(theta, self.dim, batch=True))
         w, dvec = self.w_matrix(zeta)
         wtb = np.einsum("rc...,ir...->ic...", w, b)  # row i is b_i^t W
         eta = self._eta(b, beta)
@@ -321,13 +303,12 @@ class GlmmModel:
         g_zeta = -dvec * w_tilde[self._wrows, self._wcols]
         g_zeta[self._wdiag] += self.n_subjects
         g_zeta -= zeta / self.sigma_zeta_sq
-        grad = np.concatenate([g_b.reshape((-1,) + beta.shape[1:]), g_beta, g_zeta])
-        return _check_finite(grad, "GlmmModel.grad_log_h")
+        return np.concatenate([g_b.reshape((-1,) + beta.shape[1:]), g_beta, g_zeta])
 
     def hess_log_h(self, theta, v) -> np.ndarray:
         # the derivative of grad_log_h along v, term by term
-        b, beta, zeta = self.unpack(theta)
-        vb, vbeta, vzeta = self._split(_check_direction(v, self.dim))
+        b, beta, zeta = self.unpack(_check_shape(theta, self.dim))
+        vb, vbeta, vzeta = self.unpack(_check_shape(v, self.dim, "v"))
         w, dvec = self.w_matrix(zeta)
         dw = np.zeros_like(w)
         dw[self._wrows, self._wcols] = dvec * vzeta
@@ -370,15 +351,12 @@ class SvModel:
         return build_pattern(self.n, [1] * self.n, 3, 1) if self.n > 1 \
             else build_pattern(1, [1], 3, 0)
 
-    def unpack(self, theta, batch=False):
-        """(b, alpha, lambda, psi); with batch=True theta may be (dim, B)."""
-        return self._split(_check_theta(theta, self.dim, batch))
-
-    def _split(self, theta):
+    def unpack(self, theta):
+        """(b, alpha, lambda, psi) of a theta of shape (dim,) or (dim, B)."""
         return theta[:self.n], theta[self.n], theta[self.n + 1], theta[self.n + 2]
 
     def log_h(self, theta) -> float:
-        b, alpha, lam, psi = self.unpack(theta)
+        b, alpha, lam, psi = self.unpack(_check_shape(theta, self.dim))
         sigma = np.exp(alpha)
         phi = expit(psi)
         e = np.exp(-lam - sigma * b)
@@ -390,11 +368,11 @@ class SvModel:
         val += -0.5 * LOG_2PI + 0.5 * np.log1p(-phi ** 2) - 0.5 * b[0] ** 2 * (1.0 - phi ** 2)
         val -= 1.5 * np.log(2.0 * np.pi * self.sigma0_sq)
         val -= 0.5 * (alpha ** 2 + lam ** 2 + psi ** 2) / self.sigma0_sq
-        return float(_check_finite(val, "SvModel.log_h"))
+        return float(val)
 
     def grad_log_h(self, theta) -> np.ndarray:
         # with theta (dim, B): b is (n, B) and the globals are (B,)
-        b, alpha, lam, psi = self.unpack(theta, batch=True)
+        b, alpha, lam, psi = self.unpack(_check_shape(theta, self.dim, batch=True))
         n = self.n
         sigma = np.exp(alpha)
         phi = expit(psi)
@@ -415,12 +393,11 @@ class SvModel:
         if n > 1:
             p_phi += np.sum(innov * b[:-1], axis=0)
         g_psi = p_phi * dphi - psi / self.sigma0_sq
-        grad = np.concatenate([g_b, np.stack([g_alpha, g_lam, g_psi])])
-        return _check_finite(grad, "SvModel.grad_log_h")
+        return np.concatenate([g_b, np.stack([g_alpha, g_lam, g_psi])])
 
     def hess_log_h(self, theta, v) -> np.ndarray:
-        b, alpha, lam, psi = self.unpack(theta)
-        vb, va, vl, vp = self._split(_check_direction(v, self.dim))
+        b, alpha, lam, psi = self.unpack(_check_shape(theta, self.dim))
+        vb, va, vl, vp = self.unpack(_check_shape(v, self.dim, "v"))
         n = self.n
         sigma = np.exp(alpha)
         phi = expit(psi)

@@ -1,9 +1,15 @@
 """Shared finite-difference oracles, random inputs and pattern strategies."""
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from fishervi.linalg import build_pattern
+
+# one profile for the whole suite: no per-example deadline, no example
+# database, and a fixed seed, so every run draws the same examples
+settings.register_profile("fishervi", deadline=None, database=None, derandomize=True)
+settings.load_profile("fishervi")
 
 
 def central_diff_grad(f, x, h=1e-5):

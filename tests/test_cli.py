@@ -11,6 +11,7 @@ from fishervi.cli import (
     main,
     parse_config_text,
 )
+from fishervi.linalg import SparsityPattern
 
 
 @pytest.fixture
@@ -101,6 +102,27 @@ class TestFitCommand:
         assert main(["sweep", str(c2), "--workers", "2"]) == 0
         assert (tmp_path / "sweep_out" / "fitresult.json").exists()
 
+    def test_aborted_fit_reported(self, gaussian_setup, tmp_path, capsys):
+        # T = 1e-305 I is singular: every step is rejected and the fit aborts
+        cfg, _, _ = gaussian_setup
+        cfg.write_text(cfg.read_text() + "init.t_scale = 1e-305\n")
+        rc = main(["fit", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no step succeeded" in err
+        assert "Traceback" not in err
+
+    def test_sweep_names_failing_config(self, gaussian_setup, tmp_path, capsys):
+        cfg, _, _ = gaussian_setup
+        good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+        good.write_text(cfg.read_text())
+        bad.write_text(cfg.read_text() + "init.t_scale = 1e-305\n")
+        assert main(["sweep", str(bad), str(good), "--workers", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {bad}: ") and "no step succeeded" in err
+        assert out.startswith(f"{good}: stop=")
+        assert (tmp_path / "good_out" / "fitresult.json").exists()
+
 
 class TestCompareCommand:
     def test_compare_outputs(self, gaussian_setup, tmp_path, rng):
@@ -121,6 +143,28 @@ class TestCompareCommand:
         report = json.loads((cmp_out / "comparison.json").read_text())
         assert len(report["mstar_values"]) == 4
         assert (cmp_out / "comparison.csv").exists()
+
+    def test_singular_factor_reported(self, gaussian_setup, tmp_path, rng, capsys):
+        # a stored T whose first diagonal entry is below SINGULAR_TOL cannot
+        # be solved; compare reports that instead of a traceback
+        cfg, nu, _ = gaussian_setup
+        out = tmp_path / "fitout"
+        assert main(["fit", "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 0
+        doc = json.loads((out / "fitresult.json").read_text())
+        pattern = SparsityPattern.from_descriptor(doc["pattern"])
+        t_values = np.asarray(doc["t_values"])
+        t_values[pattern.diag_slots[0]] = 1e-310
+        t_values[(pattern.rows == 1) & (pattern.cols == 0)] = 1.0
+        doc["t_values"] = t_values.tolist()
+        (out / "fitresult.json").write_text(json.dumps(doc))
+        ref = tmp_path / "ref.csv"
+        np.savetxt(ref, rng.standard_normal((1500, nu.size)), delimiter=",",
+                   header=",".join(f"v{i}" for i in range(nu.size)), comments="")
+        capsys.readouterr()
+        rc = main(["compare", "--fit", str(out / "fitresult.json"), "--ref", str(ref),
+                   "--seed", "3", "--replicates", "2", "--out", str(tmp_path / "cmp")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: factor diagonal below")
 
 
 class TestAnalysisCommands:

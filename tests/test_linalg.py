@@ -132,7 +132,7 @@ class TestSolves:
 
 
 class TestBandTailSolver:
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(pattern=st.one_of(block_patterns(), st.integers(1, 8).map(build_dense_pattern)),
            n_rhs=st.sampled_from([None, 1, 3]),
            seed=st.integers(0, 2**32 - 1))

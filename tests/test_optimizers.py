@@ -1,17 +1,26 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import block_patterns, random_spd
-from fishervi.linalg import CholFactor, build_dense_pattern, build_pattern, vech_gather
+from fishervi.linalg import (
+    SINGULAR_TOL,
+    CholFactor,
+    build_dense_pattern,
+    build_pattern,
+    vech_gather,
+)
 from fishervi.optimizers import (
+    DIVERGENCES,
     AdadeltaState,
     FitAbortedError,
     FitConfig,
+    FitResult,
     IllConditionedUpdate,
     VariationalState,
     adadelta_update,
@@ -250,7 +259,7 @@ class TestAlgorithm2:
             np.testing.assert_allclose(d_mu, ref_mu, atol=1e-10)
             np.testing.assert_allclose(d_t, ref_t, atol=1e-10)
 
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(max_examples=150)
     @given(pattern=st.one_of(block_patterns(), st.integers(1, 8).map(build_dense_pattern)),
            b=st.integers(2, 6), divergence=st.sampled_from(["FDb", "SDb"]),
            seed=st.integers(0, 2**32 - 1))
@@ -338,8 +347,6 @@ class TestFit:
             assert len(res.lb_trace) == -(-res.iterations // 400)
 
     def test_json_roundtrip(self, rng):
-        from fishervi.optimizers import FitResult
-
         target = self._target(rng)
         cfg = FitConfig(divergence="KLD", seed=5, max_iter=300, window=100)
         res = fit(target, cfg)
@@ -456,6 +463,61 @@ class TestFit:
             theta = nu + factor.solve_upper_transpose(rng.standard_normal(d))
             np.testing.assert_allclose(lower_bound(nu, factor, target, theta),
                                        0.0, atol=1e-10)
+
+
+class SpoiledTarget(GaussianTarget):
+    """N(0, I) whose score and / or log h return `bad` on every `every`-th call."""
+
+    def __init__(self, dim, spoiled, bad, every):
+        super().__init__(np.zeros(dim), np.eye(dim))
+        self.spoiled, self.bad, self.every = spoiled, bad, every
+        self.calls = 0
+
+    def _spoil(self, method, value):
+        self.calls += 1
+        if method not in self.spoiled or self.calls % self.every:
+            return value
+        return np.full(np.shape(value), self.bad) if np.ndim(value) else self.bad
+
+    def log_h(self, theta):
+        return self._spoil("log_h", super().log_h(theta))
+
+    def grad_log_h(self, theta):
+        return self._spoil("score", super().grad_log_h(theta))
+
+
+class TestFailureSemantics:
+    @pytest.mark.parametrize("divergence", DIVERGENCES)
+    @settings(max_examples=100)
+    @given(init_mu=st.lists(st.floats(-1.7976e308, 1.7976e308), min_size=3, max_size=3),
+           init_t_scale=st.floats(math.log(SINGULAR_TOL), math.log(1e300)).map(math.exp),
+           spoiled=st.sampled_from([(), ("score",), ("log_h",), ("score", "log_h")]),
+           bad=st.sampled_from([np.inf, -np.inf, np.nan, 1e300, -1e300]),
+           every=st.integers(1, 5))
+    # a finite state whose theta overflows: the targets used to raise
+    # ValueError for the non-finite theta, and it escaped `fit`
+    @example(init_mu=[1.7976e308] * 3, init_t_scale=1e-304, spoiled=(), bad=np.nan, every=1)
+    def test_fit_returns_or_aborts(self, divergence, init_mu, init_t_scale, spoiled, bad,
+                                   every):
+        # from an adversarial start or target, a fit ends in a FitResult or
+        # a FitAbortedError; any other exception or RuntimeWarning fails here
+        target = SpoiledTarget(3, spoiled, bad, every)
+        cfg = FitConfig(divergence, seed=0, max_iter=80, window=20,
+                        init_mu=np.array(init_mu), init_t_scale=init_t_scale)
+        try:
+            assert isinstance(fit(target, cfg), FitResult)
+        except FitAbortedError:
+            pass
+
+    @pytest.mark.parametrize("divergence", ["KLD", "SDb"])
+    def test_overflowing_theta_aborts(self, divergence):
+        # the example above: every theta, score or bound overflows, so no
+        # step succeeds and the fit aborts
+        target = GaussianTarget(np.zeros(3), np.eye(3))
+        cfg = FitConfig(divergence, seed=0, init_mu=np.full(3, 1.7976e308),
+                        init_t_scale=1e-304)
+        with pytest.raises(FitAbortedError, match="no step succeeded"):
+            fit(target, cfg)
 
 
 class TestFitConfig:
