@@ -3,7 +3,7 @@
 Config files are flat `key = value` lines (dotted keys for sections, `#`
 comments).  Outputs are plain CSV/JSON so any plotting stack can consume
 them.  Subcommands: fit, compare, meanfield, unilab, recursion, gradvar,
-sweep.
+sweep (several fit configs, run one after another in this process).
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import importlib.resources
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -277,24 +276,18 @@ def _cmd_gradvar(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    """Run every config; a failing one is reported by path and sets exit status 1."""
-    def one(path):
-        cfg = load_config(path)
-        seed = _get(cfg, "seed", 0, int)
-        out = _get(cfg, "output_dir", os.path.splitext(path)[0] + "_out")
-        return run(cfg, seed, out)
-
+    """Run the configs in order; a failing one is reported by path and sets exit status 1."""
     status = 0
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = [pool.submit(one, path) for path in args.configs]
-        for path, future in zip(args.configs, futures):
-            try:
-                info = future.result()
-            except _REPORTED_ERRORS as exc:
-                print(f"error: {path}: {exc}", file=sys.stderr)
-                status = 1
-                continue
-            print(f"{path}: stop={info['stop_reason']} iters={info['iterations']}")
+    for path in args.configs:
+        try:
+            cfg = load_config(path)
+            info = run(cfg, _get(cfg, "seed", 0, int),
+                       _get(cfg, "output_dir", os.path.splitext(path)[0] + "_out"))
+        except _REPORTED_ERRORS as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            status = 1
+            continue
+        print(f"{path}: stop={info['stop_reason']} iters={info['iterations']}")
     return status
 
 
@@ -346,9 +339,9 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_gradvar)
 
-    s = sub.add_parser("sweep", help="run several fit configs across worker threads")
+    s = sub.add_parser("sweep", help="run several fit configs one after another")
     s.add_argument("configs", nargs="+")
-    s.add_argument("--workers", type=int, default=4)
+    s.add_argument("--workers", type=int, default=4, help="ignored (fits run serially)")
     s.set_defaults(func=_cmd_sweep)
     return p
 

@@ -177,7 +177,8 @@ def compare(mu, factor, ref: ReferenceSamples, seed: int, replicates: int = 50,
         raise ValueError(f"need at least {m} reference draws, have {ref.samples.shape[0]}")
     mu = np.asarray(mu, dtype=float)
     mu_star, mode_star, sd_star = marginal_stats(ref)
-    q_sd = np.sqrt(np.diag(np.linalg.inv(factor.precision())))
+    # Sigma = T^{-t} T^{-1}: Sigma_ii is the squared norm of column i of T^{-1}
+    q_sd = np.sqrt(np.sum(factor.solve_lower(np.eye(factor.dim)) ** 2, axis=0))
 
     valid = sd_star > 0
     safe = np.where(valid, sd_star, 1.0)

@@ -217,12 +217,13 @@ class CholFactor:
 
     @classmethod
     def from_star(cls, pattern: SparsityPattern, star_values) -> "CholFactor":
-        star = np.asarray(star_values, dtype=float).copy()
+        star = np.array(star_values, dtype=float)
         if star.shape != (pattern.nnz,):
             raise ValueError(f"star values length {star.size} != pattern nnz {pattern.nnz}")
-        star[pattern.diag_slots] = np.maximum(star[pattern.diag_slots], STAR_DIAG_FLOOR)
+        ds = pattern.diag_slots
+        star[ds] = diag = np.maximum(star[ds], STAR_DIAG_FLOOR)
         values = star.copy()
-        values[pattern.diag_slots] = np.exp(star[pattern.diag_slots])
+        values[ds] = np.exp(diag)
         return cls(pattern, values, star)
 
     @classmethod
@@ -242,7 +243,7 @@ class CholFactor:
     @property
     def log_det(self) -> float:
         """log det T = sum of log diagonal (= star diagonal)."""
-        return float(np.sum(self.star_values[self.pattern.diag_slots]))
+        return float(self.star_values[self.pattern.diag_slots].sum())
 
     def as_dense(self) -> np.ndarray:
         """Dense (dim, dim) T (diagnostic and test use only)."""
@@ -295,6 +296,8 @@ class CholFactor:
         x = np.asarray(x, dtype=float)
         ab, t_g = self._split()
         nl = ab.shape[1]
+        if nl == 0:
+            return t_g @ x
         xt = x[:nl].T  # band diagonals broadcast along the last axis
         y = ab[0] * xt
         for k in range(1, ab.shape[0]):
@@ -306,6 +309,8 @@ class CholFactor:
         x = np.asarray(x, dtype=float)
         ab, t_g = self._split()
         nl = ab.shape[1]
+        if nl == 0:
+            return t_g.T @ x
         z = t_g.T @ x[nl:]
         xt, zt = x[:nl].T, z[:nl].T  # zt writes through to z
         for k in range(ab.shape[0]):
@@ -329,17 +334,23 @@ def _solved(x_info):
 class DiagScaler:
     """Chain-rule scaler between vech(T) and vech(T*) gradients.
 
-    d_diag holds T_ii at diagonal slots and 1 elsewhere, so that
-    grad_{T*} f = DiagScaler.apply(grad_T f).
+    grad_{T*} f = DiagScaler.apply(grad_T f): the entries at the diagonal
+    slots are multiplied by T_ii and the others are left as they are.
     """
 
-    d_diag: np.ndarray
+    pattern: SparsityPattern
+    diag: np.ndarray
 
     @classmethod
     def from_factor(cls, factor: CholFactor) -> "DiagScaler":
-        d = np.ones(factor.pattern.nnz)
-        d[factor.pattern.diag_slots] = factor.diag
-        return cls(d)
+        return cls(factor.pattern, factor.diag)
+
+    @property
+    def d_diag(self) -> np.ndarray:
+        """T_ii at diagonal slots and 1 elsewhere (diagnostic and test use only)."""
+        return self.apply(np.ones(self.pattern.nnz))
 
     def apply(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self.d_diag
+        out = np.array(grad, dtype=float)
+        out[self.pattern.diag_slots] *= self.diag
+        return out

@@ -141,8 +141,7 @@ def gradient_alg1(mu, factor, model, divergence, z):
     """
     if divergence not in ALG1_DIVERGENCES:
         raise ValueError(f"divergence must be one of {ALG1_DIVERGENCES}")
-    pattern = factor.pattern
-    rows, cols = pattern.rows, pattern.cols
+    rows, cols = factor.pattern.rows, factor.pattern.cols
     dscale = DiagScaler.from_factor(factor)
 
     u = factor.solve_upper_transpose(z)
@@ -435,7 +434,6 @@ def fit(model, config: FitConfig) -> FitResult:
     last_lb = None
     stop_reason = "max_iter"
     t0 = time.perf_counter()
-    iterations = 0
 
     for it in range(1, config.max_iter + 1):
         try:
@@ -453,7 +451,6 @@ def fit(model, config: FitConfig) -> FitResult:
                 raise FitAbortedError(
                     f"{consecutive_rejects} consecutive rejected steps at iteration {it} "
                     f"({config.divergence}); {last}")
-        iterations = it
         window_sum += lb
         window_count += 1
         if window_count == config.window:
@@ -468,7 +465,7 @@ def fit(model, config: FitConfig) -> FitResult:
         lb_trace.append(window_sum / window_count)
 
     elapsed = time.perf_counter() - t0
-    return FitResult(state, config.divergence, lb_trace, iterations, config.seed,
+    return FitResult(state, config.divergence, lb_trace, state.iteration, config.seed,
                      stop_reason, rejected, elapsed, config.echo())
 
 

@@ -124,32 +124,30 @@ class LogisticModel:
             raise ValueError("responses must be binary 0/1")
         self.n, self.dim = self.X.shape
         self.sigma0_sq = float(sigma0_sq)
+        self._log_prior_norm = 0.5 * self.dim * np.log(2.0 * np.pi * self.sigma0_sq)
 
     def sparsity_hint(self) -> SparsityPattern:
         return build_dense_pattern(self.dim)
 
-    def _logits(self, theta):
-        return self.X @ theta
-
     def log_h(self, theta) -> float:
         theta = _check_shape(theta, self.dim)
-        eta = self._logits(theta)
+        eta = self.X @ theta
         return float(
             float(self.y @ eta)
-            - float(np.sum(softplus(eta)))
-            - 0.5 * self.dim * np.log(2.0 * np.pi * self.sigma0_sq)
+            - float(softplus(eta).sum())
+            - self._log_prior_norm
             - 0.5 * float(theta @ theta) / self.sigma0_sq
         )
 
     def grad_log_h(self, theta) -> np.ndarray:
         theta = _check_shape(theta, self.dim, batch=True)
-        resid = _columns(self.y, theta) - expit(self._logits(theta))
+        resid = _columns(self.y, theta) - expit(self.X @ theta)
         return self.X.T @ resid - theta / self.sigma0_sq
 
     def hess_log_h(self, theta, v) -> np.ndarray:
         theta = _check_shape(theta, self.dim)
         v = _check_shape(v, self.dim, "v")
-        w = expit(self._logits(theta))
+        w = expit(self.X @ theta)
         return -(self.X.T @ (w * (1.0 - w) * (self.X @ v))) - v / self.sigma0_sq
 
 

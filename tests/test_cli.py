@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -122,6 +123,34 @@ class TestFitCommand:
         assert err.startswith(f"error: {bad}: ") and "no step succeeded" in err
         assert out.startswith(f"{good}: stop=")
         assert (tmp_path / "good_out" / "fitresult.json").exists()
+
+    def test_sweep_writes_what_fit_writes_in_config_order(self, gaussian_setup, tmp_path,
+                                                          capsys):
+        cfg, _, _ = gaussian_setup
+        seeds = (7, 3)
+        paths = [tmp_path / f"c{k}.cfg" for k in range(len(seeds))]
+        for path, seed in zip(paths, seeds):
+            path.write_text(cfg.read_text() + f"seed = {seed}\n")
+
+        def outputs(out_dir):
+            return [(out_dir / name).read_bytes() for name in ("fitresult.json", "lb_trace.csv")]
+
+        expected = []
+        for k, (path, seed) in enumerate(zip(paths, seeds)):
+            out = tmp_path / f"fit{k}"
+            assert main(["fit", "--config", str(path), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            expected.append(outputs(out))
+        capsys.readouterr()
+        for workers in ([], ["--workers", "1"], ["--workers", "3"]):
+            for k in range(len(paths)):
+                shutil.rmtree(tmp_path / f"c{k}_out", ignore_errors=True)
+            assert main(["sweep", *map(str, paths), *workers]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == len(paths)
+            for k, (path, line) in enumerate(zip(paths, lines)):
+                assert line.startswith(f"{path}: stop=")
+                assert outputs(tmp_path / f"c{k}_out") == expected[k]
 
 
 class TestCompareCommand:

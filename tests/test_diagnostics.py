@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import block_patterns
 from fishervi.diagnostics import (
     ReferenceSamples,
     compare,
@@ -13,7 +16,7 @@ from fishervi.diagnostics import (
     mmd_sq_u,
     rbf_kernel,
 )
-from fishervi.linalg import CholFactor, build_dense_pattern
+from fishervi.linalg import CholFactor, SingularFactorError, build_dense_pattern
 
 
 def mmd_bruteforce(x_v, x_g, h):
@@ -155,6 +158,30 @@ class TestCompare:
         mu, factor, ref = self._fit_and_ref(rng, m_ref=100)
         with pytest.raises(ValueError):
             compare(mu, factor, ref, seed=0, replicates=2, m=500)
+
+    def test_underflowed_factor_raises_its_own_error(self, rng):
+        # T T^t underflows to a singular matrix here; the factor's solve names the cause
+        pattern = build_dense_pattern(3)
+        values = np.zeros(pattern.nnz)
+        values[pattern.diag_slots] = [1e-310, 1.0, 1.0]
+        factor = CholFactor.from_values(pattern, values)
+        ref = ReferenceSamples(rng.standard_normal((10, 3)))
+        with pytest.raises(SingularFactorError):
+            compare(np.zeros(3), factor, ref, seed=0, replicates=1, m=5)
+
+    @settings(max_examples=60)
+    @given(pattern=block_patterns(), seed=st.integers(0, 2**32 - 1))
+    def test_sd_ratio_matches_dense_inverse(self, pattern, seed):
+        # q_sd from solves with T against sqrt(diag((T T^t)^{-1}))
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(pattern.nnz) * 0.2
+        values[pattern.diag_slots] = 1.0 + rng.random(pattern.diag_slots.size)
+        factor = CholFactor.from_values(pattern, values)
+        ref = ReferenceSamples(rng.standard_normal((3, pattern.dim)))
+        report = compare(np.zeros(pattern.dim), factor, ref, seed=0, replicates=1, m=2)
+        q_sd = np.sqrt(np.diag(np.linalg.inv(factor.precision())))
+        sd_star = ref.samples.std(axis=0, ddof=1)
+        np.testing.assert_allclose(report.sd_ratio, q_sd / sd_star, rtol=1e-12, atol=0)
 
 
 class TestReferenceIo:
