@@ -162,6 +162,19 @@ def build_dense_pattern(dim: int) -> SparsityPattern:
     )
 
 
+def slot_products(x: np.ndarray, y: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
+    """(x y^t) at the slots, for (dim, m) x and y, formed in the band_layout buffer:
+    kd+1 shifted row products for the band, one matmul for the global rows, one
+    gather by pos.  Buffer positions outside the pattern are written or not, never read."""
+    n_local, kd, pos = pattern.band_layout
+    buf = np.empty((kd + 1) * n_local + (pattern.dim - n_local) * pattern.dim)
+    ab = buf[:(kd + 1) * n_local].reshape((kd + 1, n_local), order="F")
+    for k in range(kd + 1):
+        np.einsum("ij,ij->i", x[k:n_local], y[:n_local - k], out=ab[k, :n_local - k])
+    np.matmul(y, x[n_local:].T, out=buf[ab.size:].reshape((pattern.dim, -1)))
+    return buf[pos]
+
+
 def vech_gather(mat: np.ndarray, pattern: SparsityPattern):
     """Collect pattern positions of a (dim, dim) matrix into a slot vector.
 

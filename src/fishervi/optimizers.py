@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import CholFactor, DiagScaler, SparsityPattern
+from .linalg import CholFactor, DiagScaler, SparsityPattern, slot_products
 from .targets import GaussianTarget, LOG_2PI
 
 ALG1_DIVERGENCES = ("KLD", "FDr", "SDr")
@@ -174,45 +174,32 @@ def gradient_alg1(mu, factor, model, divergence, z):
 def gradient_alg2(mu, factor, model, divergence, z_mat):
     """Descent gradients from a batch z_mat (d, B); Hessian-free.
 
-    The batch matrices U = C_theta + delta delta^t, V = C_g + g_bar g_bar^t and
-    W = C_theta_g - delta g_bar^t enter through rank-(B+1) factors: U = A A^t,
-    V = G G^t and W = A C^t with A = [Theta_c/sqrt(B), delta],
-    G = [G_c/sqrt(B), g_bar] and C = [G_c/sqrt(B), -g_bar].  Every product
-    with them is formed only at pattern slots, and Sigma actions are
-    triangular solves.  Under `step`, overflow here ends as a rejected step
-    with no warning.
+    U = u u^t/B, V = G G^t/B and W = u G^t/B are uncentered moments about mu,
+    with u = T^{-t} z_mat = theta - mu and G the scores; T^t u = z_mat, so U
+    needs no product.  SDb: (2/B) [u z^t - (Sigma G)(T^{-1} G)^t] at the slots,
+    g_mu = -2 (T z_bar + g_bar).  FDb, with H = G + T z: (2/B) [u (T^t H)^t + H z^t]
+    at the slots, g_mu = -2 T T^t h_bar.  Each is one `slot_products` call on
+    column-stacked factors.  Under `step`, overflow here ends as a rejected step.
     """
     if divergence not in ALG2_DIVERGENCES:
         raise ValueError(f"divergence must be one of {ALG2_DIVERGENCES}")
-    rows, cols = factor.pattern.rows, factor.pattern.cols
     dscale = DiagScaler.from_factor(factor)
-    root_b = np.sqrt(z_mat.shape[1])
-
-    def slots(x, y):  # (x y^t) at the pattern slots
-        return np.einsum("ij,ij->i", x[rows], y[cols])
-
-    theta_mat = mu[:, None] + factor.solve_upper_transpose(z_mat)
+    u = factor.solve_upper_transpose(z_mat)
+    theta_mat = mu[:, None] + u
     g_mat = model.grad_log_h(theta_mat)
-    theta_bar = theta_mat.mean(axis=1)
-    g_bar = g_mat.mean(axis=1)
-    gc = (g_mat - g_bar[:, None]) / root_b
-    a = np.column_stack([(theta_mat - theta_bar[:, None]) / root_b, mu - theta_bar])
-
-    t_a = factor.rmatvec(a)                               # T^t A
-    g_mu = 2.0 * factor.matvec(t_a[:, -1]) - 2.0 * g_bar  # last column: T^t delta
 
     if divergence == "SDb":
-        # (U T)[slots] - (Sigma V T^{-t})[slots], Sigma V T^{-t} = (Sigma G)(T^{-1} G)^t
-        s = factor.solve_lower(np.column_stack([gc, g_bar]))  # T^{-1} G
-        sig = factor.solve_upper_transpose(s)                 # Sigma G
-        return g_mu, dscale.apply(2.0 * (slots(a, t_a) - slots(sig, s))), theta_mat
-
-    # FDb: ((W + W^t + P U + U P) T)[slots] with P = T T^t
-    c = np.column_stack([gc, -g_bar])
-    p_a = factor.matvec(t_a)                              # P A
-    desc_t = 2.0 * (slots(a, factor.rmatvec(c)) + slots(c, t_a)
-                    + slots(p_a, t_a) + slots(a, factor.rmatvec(p_a)))
-    return factor.matvec(factor.rmatvec(g_mu)), dscale.apply(desc_t), theta_mat
+        s = factor.solve_lower(g_mat)                       # T^{-1} G
+        x = np.hstack([u, factor.solve_upper_transpose(s)])  # [u | Sigma G]
+        y = np.hstack([z_mat, -s])
+        g_mu = -2.0 * (factor.matvec(z_mat.mean(axis=1)) + g_mat.mean(axis=1))
+    else:
+        h = g_mat + factor.matvec(z_mat)
+        x = np.hstack([u, h])
+        y = np.hstack([factor.rmatvec(h), z_mat])
+        g_mu = -2.0 * factor.matvec(factor.rmatvec(h.mean(axis=1)))
+    desc_t = (2.0 / z_mat.shape[1]) * slot_products(x, y, factor.pattern)
+    return g_mu, dscale.apply(desc_t), theta_mat
 
 
 def batch_objective_trace(stats: BatchStats, mu, factor: CholFactor, divergence: str) -> float:
@@ -321,9 +308,13 @@ class FitConfig:
     def __post_init__(self):
         if self.divergence not in DIVERGENCES:
             raise ValueError(f"divergence must be one of {DIVERGENCES}, got {self.divergence!r}")
-        for name in ("max_iter", "window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, least in (("seed", 0), ("max_iter", 1), ("window", 1), ("batch_size", 1)):
+            value = getattr(self, name)
+            if value is None and name == "batch_size":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            setattr(self, name, int(value))  # a numpy integer would not serialize
         if (self.divergence in ALG2_DIVERGENCES and self.batch_size is not None
                 and self.batch_size < 2):
             raise ValueError(f"batch_size must be at least 2 for {self.divergence}, "

@@ -250,10 +250,10 @@ class GlmmModel:
 
         zeta of shape (n_zeta, B) gives W of shape (r, r, B), one per column.
         """
+        vech_w = zeta.copy()
+        vech_w[self._wdiag] = diag = np.exp(zeta[self._wdiag])
         w = np.zeros((self.r, self.r) + zeta.shape[1:])
-        w[self._wrows, self._wcols] = zeta
-        diag = np.exp(zeta[self._wdiag])
-        w[np.arange(self.r), np.arange(self.r)] = diag
+        w[self._wrows, self._wcols] = vech_w
         dvec = np.ones(zeta.shape)
         dvec[self._wdiag] = diag
         return w, dvec
@@ -276,16 +276,14 @@ class GlmmModel:
         b, beta, zeta = self.unpack(_check_shape(theta, self.dim))
         w, _ = self.w_matrix(zeta)
         eta = self._eta(b, beta)
-        val = self._y_const + float(self.y @ eta - np.sum(self._A(eta)))
-        wtb = b @ w  # row i is b_i^t W
-        val += self.n_subjects * float(np.sum(zeta[self._wdiag]))  # n log|W|
-        val -= 0.5 * float(np.sum(wtb * wtb))
-        val -= 0.5 * self.n_subjects * self.r * LOG_2PI
-        val -= 0.5 * float(beta @ beta) / self.sigma_beta_sq
-        val -= 0.5 * self.p * np.log(2.0 * np.pi * self.sigma_beta_sq)
-        val -= 0.5 * float(zeta @ zeta) / self.sigma_zeta_sq
-        val -= 0.5 * self.n_zeta * np.log(2.0 * np.pi * self.sigma_zeta_sq)
-        return float(val)
+        wtb = (b @ w).ravel()  # row i is b_i^t W
+        return float(self._y_const + self.y @ eta - self._A(eta).sum()
+                     + self.n_subjects * zeta[self._wdiag].sum()  # n log|W|
+                     - 0.5 * (wtb @ wtb + self.n_subjects * self.r * LOG_2PI)
+                     - 0.5 * (beta @ beta / self.sigma_beta_sq
+                              + self.p * np.log(2.0 * np.pi * self.sigma_beta_sq))
+                     - 0.5 * (zeta @ zeta / self.sigma_zeta_sq
+                              + self.n_zeta * np.log(2.0 * np.pi * self.sigma_zeta_sq)))
 
     def grad_log_h(self, theta) -> np.ndarray:
         # written for a trailing batch axis ("..."), absent for a single theta
@@ -375,18 +373,16 @@ class SvModel:
         sigma = np.exp(alpha)
         phi = expit(psi)
         dphi = phi * (1.0 - phi)  # e^psi/(e^psi+1)^2
-        e = np.exp(-lam - sigma * b)
-        y2e = _columns(self.y ** 2, b) * e
+        h = _columns(self.y ** 2, b) * np.exp(-lam - sigma * b) - 1.0  # y^2 e - 1
 
-        g_b = -0.5 * sigma + 0.5 * sigma * y2e
+        g_b = 0.5 * sigma * h
         g_b[0] += -(1.0 - phi ** 2) * b[0]
         if n > 1:
             innov = b[1:] - phi * b[:-1]
             g_b[:-1] += phi * innov
             g_b[1:] -= innov
-        g_alpha = 0.5 * sigma * np.sum(b * y2e, axis=0) - 0.5 * sigma * np.sum(b, axis=0) \
-            - alpha / self.sigma0_sq
-        g_lam = -0.5 * n + 0.5 * np.sum(y2e, axis=0) - lam / self.sigma0_sq
+        g_alpha = 0.5 * sigma * np.einsum("i...,i...->...", b, h) - alpha / self.sigma0_sq
+        g_lam = 0.5 * h.sum(axis=0) - lam / self.sigma0_sq
         p_phi = phi * b[0] ** 2 - phi / (1.0 - phi ** 2)
         if n > 1:
             p_phi += np.sum(innov * b[:-1], axis=0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import block_patterns
@@ -12,6 +12,7 @@ from fishervi.linalg import (
     SingularFactorError,
     build_dense_pattern,
     build_pattern,
+    slot_products,
     vech_gather,
     vech_scatter,
 )
@@ -150,6 +151,22 @@ class TestBandTailSolver:
         np.testing.assert_allclose(ttx, t.T @ x, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(f.solve_lower(tx), x, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(f.solve_upper_transpose(ttx), x, rtol=1e-9, atol=1e-9)
+
+
+class TestSlotProducts:
+    @settings(max_examples=200)
+    @given(pattern=st.one_of(block_patterns(), st.integers(1, 8).map(build_dense_pattern)),
+           m=st.integers(1, 12), order=st.sampled_from("CF"),
+           seed=st.integers(0, 2**32 - 1))
+    @example(pattern=build_pattern(3, [2, 3, 2], 0, 1), m=12, order="C", seed=0)
+    def test_matches_dense_outer_product(self, pattern, m, order, seed):
+        # blocks of dim >= 2 leave band positions outside the pattern
+        rng = np.random.default_rng(seed)
+        x = np.asarray(rng.standard_normal((pattern.dim, m)), order=order)
+        y = np.asarray(rng.standard_normal((pattern.dim, m)), order=order)
+        np.testing.assert_allclose(slot_products(x, y, pattern),
+                                   (x @ y.T)[pattern.rows, pattern.cols],
+                                   rtol=1e-12, atol=1e-13 * m)
 
 
 class TestPrecisionSparsity:

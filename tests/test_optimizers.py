@@ -275,6 +275,26 @@ class TestAlgorithm2:
             np.testing.assert_allclose(got, ref, rtol=0,
                                        atol=1e-10 * max(1.0, np.max(np.abs(ref))))
 
+    @pytest.mark.parametrize("divergence, products", [
+        ("SDb", [("matvec", 1), ("solve_lower", 4), ("solve_upper_transpose", 4),
+                 ("solve_upper_transpose", 4)]),
+        ("FDb", [("matvec", 1), ("matvec", 4), ("rmatvec", 1), ("rmatvec", 4),
+                 ("solve_upper_transpose", 4)]),
+    ])
+    def test_triangular_products_per_gradient(self, divergence, products, monkeypatch):
+        # (method, columns) of every product with T or its inverse, batch B = 4
+        calls = []
+        for name in ("solve_lower", "solve_upper_transpose", "matvec", "rmatvec"):
+            def counted(self, x, _name=name, _raw=getattr(CholFactor, name)):
+                calls.append((_name, 1 if np.ndim(x) == 1 else np.shape(x)[1]))
+                return _raw(self, x)
+            monkeypatch.setattr(CholFactor, name, counted)
+        model = SvModel(np.linspace(-1.0, 1.0, 20))
+        factor = CholFactor.identity(model.sparsity_hint(), 3.0)
+        z = np.random.default_rng(0).standard_normal((model.dim, 4))
+        gradient_alg2(np.zeros(model.dim), factor, model, divergence, z)
+        assert sorted(calls) == products
+
     def test_batch_objective_two_routes_agree(self, rng):
         d = 6
         lamb = random_spd(rng, d)
@@ -530,6 +550,13 @@ class TestFitConfig:
         ("adadelta_eps", 0.0),
         ("init_t_scale", np.inf),
         ("init_mu", [0.0, np.nan]),
+        ("window", 2.5),
+        ("max_iter", 10.5),
+        ("seed", 1.5),
+        ("batch_size", 2.5),
+        ("max_iter", True),
+        ("seed", np.float64(3.0)),
+        ("seed", -1),
     ])
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -537,6 +564,13 @@ class TestFitConfig:
 
     def test_batch_size_ignored_for_algorithm_1(self):
         assert FitConfig("KLD", seed=0, batch_size=1).batch_size == 1
+
+    def test_numpy_integers_accepted(self):
+        cfg = FitConfig("SDb", seed=np.uint32(3), max_iter=np.int64(10),
+                        window=np.int32(5), batch_size=np.int64(4))
+        assert [type(v) for v in (cfg.seed, cfg.max_iter, cfg.window, cfg.batch_size)] == [int] * 4
+        target = GaussianTarget(np.zeros(2), np.eye(2))
+        assert json.loads(fit(target, cfg).to_json())["iterations"] == 10
 
 
 class TestBam:

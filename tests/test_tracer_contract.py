@@ -1,20 +1,36 @@
 """The benchmark's tracer (fitbench/tracing.py) wraps fishervi callables by name.
 
-Renaming or removing one of them breaks the traced benchmark run; this test
-makes it break tier-1 as well.  tracing.py is only read and executed here;
-nothing is installed.
+Renaming or removing one of them, or dropping one from the fit path, breaks
+the traced benchmark run; these tests make it break tier-1 as well.
+tracing.py is only read and executed here; nothing is installed, and its
+Tracer wraps fishervi only inside a `with` block.
 """
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import fishervi
+
 TRACING = Path(__file__).resolve().parents[1] / "fitbench" / "tracing.py"
 
 
-def test_every_traced_callable_resolves():
+# the spans fitbench/test_fitbench.py predicts for its sv-sdb workload
+SV_SDB_SPANS = {"linalg.solve", "linalg.matvec", "linalg.from_star", "targets.grad",
+                "targets.log_h", "optimizers.fit", "optimizers.gradient",
+                "optimizers.lower_bound", "optimizers.adadelta"}
+
+
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("fitbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_callable_resolves():
+    tracing = _load_tracing()
     missing = []
     for module_name, entries in tracing.TRACED.items():
         module = importlib.import_module(f"fishervi.{module_name}")
@@ -27,3 +43,14 @@ def test_every_traced_callable_resolves():
             if not found:
                 missing.append(f"fishervi.{module_name}.{path}")
     assert not missing, f"traced by fitbench but not defined: {missing}"
+
+
+def test_sv_sdb_fit_records_every_predicted_span():
+    # a layer that drops off the fit path fails here, not only under fitbench
+    model = fishervi.SvModel(np.random.default_rng(0).standard_normal(30))
+    tracer = _load_tracing().Tracer(fishervi)
+    with tracer:
+        fishervi.fit(model, fishervi.FitConfig("SDb", seed=0, max_iter=20, window=10,
+                                               init_t_scale=3.0))
+    missing = SV_SDB_SPANS - {span[0] for span in tracer.spans}
+    assert not missing, f"sv-sdb spans not recorded: {sorted(missing)}"
