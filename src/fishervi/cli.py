@@ -175,6 +175,21 @@ def load_reference_precision():
     return nu, lamb
 
 
+def _bounded(cast, low, high=None, low_open=False):
+    """argparse `type=`: cast, then require low <= value <= high (low < value if
+    low_open); argparse reports a value outside as a usage error, status 2."""
+    def parse(text):
+        value = cast(text)
+        if not ((low < value if low_open else low <= value)
+                and (high is None or value <= high)):
+            need = (f">= {low}" if high is None
+                    else f"in {'(' if low_open else '['}{low}, {high}]")
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse's "invalid int value"
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -306,7 +321,7 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--fit", required=True)
     c.add_argument("--ref", required=True)
     c.add_argument("--seed", required=True, type=int)
-    c.add_argument("--replicates", type=int, default=50)
+    c.add_argument("--replicates", type=_bounded(int, 2), default=50)
     c.add_argument("--out", required=True)
     c.set_defaults(func=_cmd_compare)
 
@@ -314,7 +329,8 @@ def make_parser() -> argparse.ArgumentParser:
     m.add_argument("--lambda-csv", required=True)
     m.add_argument("--out", required=True)
     m.add_argument("--region-sweep", action="store_true")
-    m.add_argument("--region-step", type=float, default=0.02)
+    m.add_argument("--region-step", type=_bounded(float, 0, 2, low_open=True),
+                   default=0.02)
     m.set_defaults(func=_cmd_meanfield)
 
     u = sub.add_parser("unilab", help="univariate target metric grid")
@@ -325,15 +341,15 @@ def make_parser() -> argparse.ArgumentParser:
     u.set_defaults(func=_cmd_unilab)
 
     r = sub.add_parser("recursion", help="natural-gradient error recursion trace")
-    r.add_argument("--dim", type=int, default=3)
+    r.add_argument("--dim", type=_bounded(int, 1), default=3)
     r.add_argument("--beta", type=float, default=0.8)
-    r.add_argument("--t-max", type=int, default=500)
+    r.add_argument("--t-max", type=_bounded(int, 1), default=500)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", required=True)
     r.set_defaults(func=_cmd_recursion)
 
     g = sub.add_parser("gradvar", help="gradient-spread experiment on the stored precision")
-    g.add_argument("--draws", type=int, default=1000)
+    g.add_argument("--draws", type=_bounded(int, 2), default=1000)
     g.add_argument("--t-scale", type=float, default=10.0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)

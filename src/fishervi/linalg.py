@@ -330,11 +330,6 @@ class CholFactor:
             zt[..., :nl - k] += ab[k, :nl - k] * xt[..., k:]
         return z
 
-    def precision(self) -> np.ndarray:
-        """Dense Omega = T T^t (diagnostic use only)."""
-        t = self.as_dense()
-        return t @ t.T
-
 
 def _solved(x_info):
     x, info = x_info
@@ -357,11 +352,6 @@ class DiagScaler:
     @classmethod
     def from_factor(cls, factor: CholFactor) -> "DiagScaler":
         return cls(factor.pattern, factor.diag)
-
-    @property
-    def d_diag(self) -> np.ndarray:
-        """T_ii at diagonal slots and 1 elsewhere (diagnostic and test use only)."""
-        return self.apply(np.ones(self.pattern.nnz))
 
     def apply(self, grad: np.ndarray) -> np.ndarray:
         out = np.array(grad, dtype=float)

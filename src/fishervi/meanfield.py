@@ -345,36 +345,6 @@ def batch_limits(lamb, nu, mu_hat, sigma_hat_diag) -> BatchLimits:
     return lims
 
 
-def batch_stats_limit_check(lamb, nu, mu_hat, sigma_hat_diag, batch_size, rng):
-    """Max absolute deviation of batch summary statistics from their limits.
-
-    Samples B points from N(mu_hat, diag(sigma_hat)) against a Gaussian target
-    and returns deviations for (theta_bar, C_theta, g_bar, C_g, C_theta_g);
-    these shrink like O(B^{-1/2}).
-    """
-    lamb = _as_spd(lamb, "Lambda")
-    nu = np.asarray(nu, dtype=float)
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    sh = np.asarray(sigma_hat_diag, dtype=float)
-    d = nu.size
-    theta = mu_hat + np.sqrt(sh) * rng.standard_normal((batch_size, d))
-    g = -(theta - nu) @ lamb
-    tb = theta.mean(axis=0)
-    gb = g.mean(axis=0)
-    tc = theta - tb
-    gc = g - gb
-    c_theta = tc.T @ tc / batch_size
-    c_g = gc.T @ gc / batch_size
-    c_tg = tc.T @ gc / batch_size
-    return {
-        "theta_bar": float(np.max(np.abs(tb - mu_hat))),
-        "c_theta": float(np.max(np.abs(c_theta - np.diag(sh)))),
-        "g_bar": float(np.max(np.abs(gb - lamb @ (nu - mu_hat)))),
-        "c_g": float(np.max(np.abs(c_g - lamb @ np.diag(sh) @ lamb))),
-        "c_thetag": float(np.max(np.abs(c_tg - (-np.diag(sh) @ lamb)))),
-    }
-
-
 @dataclass
 class RecursionTrace:
     """Trajectory of the infinite-batch natural-gradient error recursion."""

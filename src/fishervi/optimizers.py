@@ -14,7 +14,6 @@ SparsityPattern are ever formed or updated, and Sigma is never densified
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,9 +100,6 @@ class BatchStats:
 
     def v_mat(self):
         return self.c_g + np.outer(self.g_bar, self.g_bar)
-
-    def w_mat(self, mu):
-        return self.c_thetag - np.outer(mu - self.theta_bar, self.g_bar)
 
 
 def compute_batch_stats(theta_mat: np.ndarray, g_mat: np.ndarray) -> BatchStats:
@@ -200,44 +196,6 @@ def gradient_alg2(mu, factor, model, divergence, z_mat):
         g_mu = -2.0 * factor.matvec(factor.rmatvec(h.mean(axis=1)))
     desc_t = (2.0 / z_mat.shape[1]) * slot_products(x, y, factor.pattern)
     return g_mu, dscale.apply(desc_t), theta_mat
-
-
-def batch_objective_trace(stats: BatchStats, mu, factor: CholFactor, divergence: str) -> float:
-    """Batch divergence estimate from summary statistics (trace form)."""
-    u = stats.u_mat(mu)
-    v = stats.v_mat()
-    w = stats.w_mat(mu)
-    t = factor
-    if divergence == "SDb":
-        a1 = t.solve_lower(v)
-        tr_vs = float(np.trace(t.solve_lower(a1.T)))        # tr(V Sigma)
-        tr_up = float(np.sum((u @ t.as_dense()) * t.as_dense()))  # tr(U T T^t)
-        return tr_vs + tr_up + 2.0 * float(np.trace(w))
-    if divergence == "FDb":
-        td = t.as_dense()
-        p = td @ td.T
-        return (float(np.trace(v)) + float(np.trace(u @ p @ p))
-                + 2.0 * float(np.trace(w @ p)))
-    raise ValueError("divergence must be FDb or SDb")
-
-
-def batch_objective_direct(theta_mat, g_mat, mu, factor: CholFactor, divergence: str) -> float:
-    """Batch divergence estimate by direct per-sample summation (oracle)."""
-    b = theta_mat.shape[1]
-    total = 0.0
-    for i in range(b):
-        th = theta_mat[:, i]
-        gh = g_mat[:, i]
-        r = th - mu
-        if divergence == "SDb":
-            sg = factor.solve_lower(gh)
-            sig_g = factor.solve_upper_transpose(sg)
-            tr_r = factor.rmatvec(r)
-            total += float(gh @ sig_g + 2.0 * gh @ r + tr_r @ tr_r)
-        else:
-            pr = factor.matvec(factor.rmatvec(r))
-            total += float(gh @ gh + 2.0 * gh @ pr + pr @ pr)
-    return total / b
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +312,10 @@ class FitResult:
     seed: int
     stop_reason: str
     rejected_steps: int
-    elapsed_seconds: float
     config_echo: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        """Serializable document; excludes wall-clock time so reruns are byte-identical."""
+        """Serializable document; a rerun with the same seed gives the same bytes."""
         return {
             "divergence": self.divergence,
             "seed": self.seed,
@@ -424,7 +381,6 @@ def fit(model, config: FitConfig) -> FitResult:
     consecutive_rejects = 0
     last_lb = None
     stop_reason = "max_iter"
-    t0 = time.perf_counter()
 
     for it in range(1, config.max_iter + 1):
         try:
@@ -455,9 +411,8 @@ def fit(model, config: FitConfig) -> FitResult:
     if window_count > 0:  # partial tail window when max_iter is not a multiple
         lb_trace.append(window_sum / window_count)
 
-    elapsed = time.perf_counter() - t0
     return FitResult(state, config.divergence, lb_trace, state.iteration, config.seed,
-                     stop_reason, rejected, elapsed, config.echo())
+                     stop_reason, rejected, config.echo())
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +467,6 @@ def bam_step(mu, sigma, model, batch_size: int, t: int, rng):
     stats = compute_batch_stats(theta_mat, model.grad_log_h(theta_mat))
     rho = batch_size * d / t
     return bam_update_from_stats(stats, mu, sigma, rho)
-
-
-def bam_objective(stats: BatchStats, mu_t, sigma_t, rho, mu, sigma) -> float:
-    """The proximal objective at candidate (mu, Sigma); used to verify descent."""
-    d = mu_t.size
-    sigma_inv = np.linalg.inv(sigma)
-    u = stats.u_mat(mu)
-    score_part = (float(np.trace(stats.v_mat() @ sigma))
-                  + float(np.trace(u @ sigma_inv))
-                  + 2.0 * float(np.trace(stats.w_mat(mu))))
-    dm = mu - mu_t
-    sign_t, logdet_t = np.linalg.slogdet(sigma_t)
-    sign_s, logdet_s = np.linalg.slogdet(sigma)
-    kl = 0.5 * (float(np.trace(sigma_inv @ sigma_t)) + float(dm @ sigma_inv @ dm)
-                - d + logdet_s - logdet_t)
-    return score_part + (2.0 / rho) * kl
 
 
 # ---------------------------------------------------------------------------

@@ -358,9 +358,8 @@ class SvModel:
         e = np.exp(-lam - sigma * b)
         val = -0.5 * self.n * LOG_2PI - 0.5 * self.n * lam \
             - 0.5 * sigma * np.sum(b) - 0.5 * float(self.y ** 2 @ e)
-        if self.n > 1:
-            innov = b[1:] - phi * b[:-1]
-            val += -0.5 * (self.n - 1) * LOG_2PI - 0.5 * float(innov @ innov)
+        innov = b[1:] - phi * b[:-1]
+        val += -0.5 * (self.n - 1) * LOG_2PI - 0.5 * float(innov @ innov)
         val += -0.5 * LOG_2PI + 0.5 * np.log1p(-phi ** 2) - 0.5 * b[0] ** 2 * (1.0 - phi ** 2)
         val -= 1.5 * np.log(2.0 * np.pi * self.sigma0_sq)
         val -= 0.5 * (alpha ** 2 + lam ** 2 + psi ** 2) / self.sigma0_sq
@@ -369,7 +368,6 @@ class SvModel:
     def grad_log_h(self, theta) -> np.ndarray:
         # with theta (dim, B): b is (n, B) and the globals are (B,)
         b, alpha, lam, psi = self.unpack(_check_shape(theta, self.dim, batch=True))
-        n = self.n
         sigma = np.exp(alpha)
         phi = expit(psi)
         dphi = phi * (1.0 - phi)  # e^psi/(e^psi+1)^2
@@ -377,15 +375,12 @@ class SvModel:
 
         g_b = 0.5 * sigma * h
         g_b[0] += -(1.0 - phi ** 2) * b[0]
-        if n > 1:
-            innov = b[1:] - phi * b[:-1]
-            g_b[:-1] += phi * innov
-            g_b[1:] -= innov
+        innov = b[1:] - phi * b[:-1]
+        g_b[:-1] += phi * innov
+        g_b[1:] -= innov
         g_alpha = 0.5 * sigma * np.einsum("i...,i...->...", b, h) - alpha / self.sigma0_sq
         g_lam = 0.5 * h.sum(axis=0) - lam / self.sigma0_sq
-        p_phi = phi * b[0] ** 2 - phi / (1.0 - phi ** 2)
-        if n > 1:
-            p_phi += np.sum(innov * b[:-1], axis=0)
+        p_phi = phi * b[0] ** 2 - phi / (1.0 - phi ** 2) + np.sum(innov * b[:-1], axis=0)
         g_psi = p_phi * dphi - psi / self.sigma0_sq
         return np.concatenate([g_b, np.stack([g_alpha, g_lam, g_psi])])
 
@@ -427,9 +422,8 @@ class SvModel:
         h_al = -0.5 * sigma * float(b @ y2e)
         p_phi = phi * b[0] ** 2 - phi / (1.0 - phi ** 2)
         dp_dphi = b[0] ** 2 - (1.0 + phi ** 2) / (1.0 - phi ** 2) ** 2
-        if n > 1:
-            p_phi += float((b[1:] - phi * b[:-1]) @ b[:-1])
-            dp_dphi -= float(b[:-1] @ b[:-1])
+        p_phi += float((b[1:] - phi * b[:-1]) @ b[:-1])
+        dp_dphi -= float(b[:-1] @ b[:-1])
         h_pp = dp_dphi * dphi ** 2 + p_phi * d2phi - 1.0 / self.sigma0_sq
         # the latent block is tridiagonal with phi off the diagonal;
         # d2/dpsi dlambda = d2/dpsi dalpha = 0

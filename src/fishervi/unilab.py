@@ -451,58 +451,3 @@ def loggamma_closed_forms(a1: float, b1: float) -> LogGammaSolution:
         mu_sd=base + 1.5 * s2_sd, sigma_sq_sd=s2_sd,
         mean=target.mean, mode=target.mode, variance=target.variance,
     )
-
-
-def loggamma_fd_closed(a1, b1, mu, sigma_sq):
-    """FD between N(mu, sigma^2) and LogInvGamma(a1, b1), closed form."""
-    return (a1 ** 2 + b1 ** 2 * math.exp(2 * sigma_sq - 2 * mu)
-            - 2 * b1 * (a1 + 1) * math.exp(sigma_sq / 2 - mu) + 1.0 / sigma_sq)
-
-
-# ---------------------------------------------------------------------------
-# stationarity of the Student-t mean
-
-
-def stationarity_check_t(nu: float, d: int = 1, scale=None, sigma_sq: float = 1.0,
-                         n_samples: int = 100_000, seed: int = 0) -> dict:
-    """Gradient of each objective with respect to mu, evaluated at mu = mode.
-
-    Univariate targets use the quadrature gradient; multivariate t(nu, 0, S)
-    uses Monte Carlo with common random numbers and returns (estimate, se)
-    pairs so callers can apply a statistical tolerance.
-    """
-    if d == 1:
-        target = StudentT(nu)
-        out = {}
-        for div in DIVERGENCES:
-            _, d_mu, _ = _objective_and_grad(target, div, 0.0, math.log(sigma_sq))
-            out[div] = abs(d_mu)
-        return out
-
-    s_mat = np.eye(d) if scale is None else np.asarray(scale, dtype=float)
-    s_inv = np.linalg.inv(s_mat)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_samples, d))
-    sigma = sigma_sq * np.eye(d)
-    theta = math.sqrt(sigma_sq) * z  # mu = m = 0
-    delta = np.einsum("ij,jk,ik->i", theta, s_inv, theta)
-    w_t = (nu + d) / (nu + delta)
-    score_p = -w_t[:, None] * (theta @ s_inv)
-    score_q = -(theta) / sigma_sq
-    g_diff = score_p - score_q
-    out = {}
-    # KLD: grad_mu ELBO = E[score_p]
-    est = score_p.mean(axis=0)
-    se = score_p.std(axis=0, ddof=1) / math.sqrt(n_samples)
-    out["KLD"] = (est, se)
-    # Hessian of log p for the multivariate t
-    hess_terms = (-w_t[:, None, None] * s_inv[None, :, :]
-                  + (2 * w_t / (nu + delta))[:, None, None]
-                  * np.einsum("ij,ik->ijk", theta @ s_inv, theta @ s_inv))
-    fd_samples = 2.0 * np.einsum("ijk,ik->ij", hess_terms, g_diff)
-    out["FD"] = (fd_samples.mean(axis=0),
-                 fd_samples.std(axis=0, ddof=1) / math.sqrt(n_samples))
-    sd_samples = 2.0 * np.einsum("ijk,ik->ij", hess_terms, g_diff @ sigma)
-    out["SD"] = (sd_samples.mean(axis=0),
-                 sd_samples.std(axis=0, ddof=1) / math.sqrt(n_samples))
-    return out

@@ -1,0 +1,162 @@
+"""Reference computations the tests check the package against.
+
+Each oracle takes a longer or independent route to a value the package
+computes another way: the trace and per-sample forms of the FDb / SDb batch
+objective, the proximal objective, the batch statistics' distance from their
+infinite-batch limits, the stationarity of the Student-t mean and the
+closed-form log-inverse-gamma Fisher divergence.
+"""
+import math
+
+import numpy as np
+
+from fishervi.optimizers import BatchStats, compute_batch_stats
+from fishervi.unilab import DIVERGENCES, StudentT, _objective_and_grad
+
+# ---------------------------------------------------------------------------
+# Algorithm 2: batch objective
+
+
+def batch_objective_trace(stats: BatchStats, mu, factor, divergence: str) -> float:
+    """Batch divergence estimate from summary statistics (trace form)."""
+    u = stats.u_mat(mu)
+    v = stats.v_mat()
+    w = stats.c_thetag - np.outer(mu - stats.theta_bar, stats.g_bar)
+    t = factor
+    if divergence == "SDb":
+        a1 = t.solve_lower(v)
+        tr_vs = float(np.trace(t.solve_lower(a1.T)))        # tr(V Sigma)
+        tr_up = float(np.sum((u @ t.as_dense()) * t.as_dense()))  # tr(U T T^t)
+        return tr_vs + tr_up + 2.0 * float(np.trace(w))
+    if divergence == "FDb":
+        td = t.as_dense()
+        p = td @ td.T
+        return (float(np.trace(v)) + float(np.trace(u @ p @ p))
+                + 2.0 * float(np.trace(w @ p)))
+    raise ValueError("divergence must be FDb or SDb")
+
+
+def batch_objective_direct(theta_mat, g_mat, mu, factor, divergence: str) -> float:
+    """Batch divergence estimate by direct per-sample summation."""
+    b = theta_mat.shape[1]
+    total = 0.0
+    for i in range(b):
+        th = theta_mat[:, i]
+        gh = g_mat[:, i]
+        r = th - mu
+        if divergence == "SDb":
+            sg = factor.solve_lower(gh)
+            sig_g = factor.solve_upper_transpose(sg)
+            tr_r = factor.rmatvec(r)
+            total += float(gh @ sig_g + 2.0 * gh @ r + tr_r @ tr_r)
+        else:
+            pr = factor.matvec(factor.rmatvec(r))
+            total += float(gh @ gh + 2.0 * gh @ pr + pr @ pr)
+    return total / b
+
+
+# ---------------------------------------------------------------------------
+# proximal baseline
+
+
+def bam_objective(stats: BatchStats, mu_t, sigma_t, rho, mu, sigma) -> float:
+    """The proximal objective at candidate (mu, Sigma); used to verify descent."""
+    d = mu_t.size
+    sigma_inv = np.linalg.inv(sigma)
+    u = stats.u_mat(mu)
+    w = stats.c_thetag - np.outer(mu - stats.theta_bar, stats.g_bar)
+    score_part = (float(np.trace(stats.v_mat() @ sigma))
+                  + float(np.trace(u @ sigma_inv))
+                  + 2.0 * float(np.trace(w)))
+    dm = mu - mu_t
+    sign_t, logdet_t = np.linalg.slogdet(sigma_t)
+    sign_s, logdet_s = np.linalg.slogdet(sigma)
+    kl = 0.5 * (float(np.trace(sigma_inv @ sigma_t)) + float(dm @ sigma_inv @ dm)
+                - d + logdet_s - logdet_t)
+    return score_part + (2.0 / rho) * kl
+
+
+# ---------------------------------------------------------------------------
+# batch statistics against their infinite-batch limits
+
+
+def batch_stats_limit_check(lamb, nu, mu_hat, sigma_hat_diag, batch_size, rng):
+    """Max absolute deviation of batch summary statistics from their limits.
+
+    Samples B points from N(mu_hat, diag(sigma_hat)) against a Gaussian target
+    and returns deviations for (theta_bar, C_theta, g_bar, C_g, C_theta_g);
+    these shrink like O(B^{-1/2}).
+    """
+    lamb = np.asarray(lamb, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    mu_hat = np.asarray(mu_hat, dtype=float)
+    sh = np.asarray(sigma_hat_diag, dtype=float)
+    theta = mu_hat + np.sqrt(sh) * rng.standard_normal((batch_size, nu.size))
+    g = -(theta - nu) @ lamb
+    stats = compute_batch_stats(theta.T, g.T)
+    return {
+        "theta_bar": float(np.max(np.abs(stats.theta_bar - mu_hat))),
+        "c_theta": float(np.max(np.abs(stats.c_theta - np.diag(sh)))),
+        "g_bar": float(np.max(np.abs(stats.g_bar - lamb @ (nu - mu_hat)))),
+        "c_g": float(np.max(np.abs(stats.c_g - lamb @ np.diag(sh) @ lamb))),
+        "c_thetag": float(np.max(np.abs(stats.c_thetag - (-np.diag(sh) @ lamb)))),
+    }
+
+
+# ---------------------------------------------------------------------------
+# log-inverse-gamma closed form
+
+
+def loggamma_fd_closed(a1, b1, mu, sigma_sq):
+    """FD between N(mu, sigma^2) and LogInvGamma(a1, b1), closed form."""
+    return (a1 ** 2 + b1 ** 2 * math.exp(2 * sigma_sq - 2 * mu)
+            - 2 * b1 * (a1 + 1) * math.exp(sigma_sq / 2 - mu) + 1.0 / sigma_sq)
+
+
+# ---------------------------------------------------------------------------
+# stationarity of the Student-t mean
+
+
+def stationarity_check_t(nu: float, d: int = 1, scale=None, sigma_sq: float = 1.0,
+                         n_samples: int = 100_000, seed: int = 0) -> dict:
+    """Gradient of each objective with respect to mu, evaluated at mu = mode.
+
+    Univariate targets use the quadrature gradient; multivariate t(nu, 0, S)
+    uses Monte Carlo with common random numbers and returns (estimate, se)
+    pairs so callers can apply a statistical tolerance.
+    """
+    if d == 1:
+        target = StudentT(nu)
+        out = {}
+        for div in DIVERGENCES:
+            _, d_mu, _ = _objective_and_grad(target, div, 0.0, math.log(sigma_sq))
+            out[div] = abs(d_mu)
+        return out
+
+    s_mat = np.eye(d) if scale is None else np.asarray(scale, dtype=float)
+    s_inv = np.linalg.inv(s_mat)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n_samples, d))
+    sigma = sigma_sq * np.eye(d)
+    theta = math.sqrt(sigma_sq) * z  # mu = m = 0
+    delta = np.einsum("ij,jk,ik->i", theta, s_inv, theta)
+    w_t = (nu + d) / (nu + delta)
+    score_p = -w_t[:, None] * (theta @ s_inv)
+    score_q = -(theta) / sigma_sq
+    g_diff = score_p - score_q
+    out = {}
+    # KLD: grad_mu ELBO = E[score_p]
+    est = score_p.mean(axis=0)
+    se = score_p.std(axis=0, ddof=1) / math.sqrt(n_samples)
+    out["KLD"] = (est, se)
+    # Hessian of log p for the multivariate t
+    hess_terms = (-w_t[:, None, None] * s_inv[None, :, :]
+                  + (2 * w_t / (nu + delta))[:, None, None]
+                  * np.einsum("ij,ik->ijk", theta @ s_inv, theta @ s_inv))
+    fd_samples = 2.0 * np.einsum("ijk,ik->ij", hess_terms, g_diff)
+    out["FD"] = (fd_samples.mean(axis=0),
+                 fd_samples.std(axis=0, ddof=1) / math.sqrt(n_samples))
+    sd_samples = 2.0 * np.einsum("ijk,ik->ij", hess_terms, g_diff @ sigma)
+    out["SD"] = (sd_samples.mean(axis=0),
+                 sd_samples.std(axis=0, ddof=1) / math.sqrt(n_samples))
+    return out

@@ -233,3 +233,25 @@ class TestAnalysisCommands:
         assert rc == 0
         lines = (out / "gradient_sd.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * 49
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--region-step", "0"), ("--region-step", "-0.5"), ("--region-step", "2.5"),
+        ("--t-max", "0"), ("--dim", "0"), ("--draws", "1"), ("--replicates", "1"),
+    ])
+    def test_numeric_flag_out_of_range_is_usage_error(self, flag, value, tmp_path, capsys):
+        # rejected by argparse before any work: exit status 2, usage, no output dir
+        command = {
+            "--region-step": ["meanfield", "--lambda-csv", "lam.csv", "--region-sweep"],
+            "--t-max": ["recursion"],
+            "--dim": ["recursion"],
+            "--draws": ["gradvar"],
+            "--replicates": ["compare", "--fit", "fit.json", "--ref", "ref.csv", "--seed", "1"],
+        }[flag]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fishervi ")
+        assert f"argument {flag}: must be " in err
+        assert not out.exists()

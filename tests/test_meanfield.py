@@ -12,7 +12,6 @@ from fishervi.meanfield import (
     coupled_precision_3d,
     sd_fd_region_sweep,
     grad_variance_formulas,
-    batch_stats_limit_check,
     meanfield_fd,
     meanfield_kl,
     meanfield_sd_nqp,
@@ -23,6 +22,7 @@ from fishervi.meanfield import (
     natural_gradient_recursion,
     weighted_fd_gaussians,
 )
+from oracles import batch_stats_limit_check
 
 
 class TestWeightedDivergence:

@@ -14,12 +14,11 @@ from fishervi.unilab import (
     gauss_hermite_expectation,
     lambert_w0,
     loggamma_closed_forms,
-    loggamma_fd_closed,
     make_target,
-    stationarity_check_t,
     uni_fit,
     uni_objective,
 )
+from oracles import loggamma_fd_closed, stationarity_check_t
 
 STUDENT_WINDOWS = {3: (-5.0, 5.0), 5: (-4.5, 4.5), 10: (-4.5, 4.5)}
 
