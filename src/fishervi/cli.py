@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import datasets, diagnostics, meanfield, optimizers, unilab
-from .linalg import CholFactor, SparsityPattern
 from .targets import GaussianTarget, GlmmModel, LogisticModel, SvModel
 
 
@@ -29,6 +28,16 @@ class ConfigError(ValueError):
 # the base of every numerical failure
 _REPORTED_ERRORS = (FileNotFoundError, ValueError, FloatingPointError,
                    optimizers.FitAbortedError)
+
+# every key a fit config may set; `run` rejects any other
+CONFIG_KEYS = frozenset((
+    "model.kind", "model.nu_csv", "model.lambda_csv", "model.sigma0_sq",
+    "model.data_libsvm", "model.data_csv", "model.response", "model.intercept",
+    "model.dataset", "model.variant", "model.sigma_beta_sq", "model.sigma_zeta_sq",
+    "model.rates_csv", "divergence", "optimizer.max_iter", "optimizer.window",
+    "optimizer.batch_size", "optimizer.adadelta_rho", "optimizer.adadelta_eps",
+    "init.t_scale", "compare.ref_csv", "compare.replicates", "seed", "output_dir",
+))
 
 
 def parse_config_text(text: str) -> dict:
@@ -134,8 +143,24 @@ def fit_config_from(cfg: dict, seed: int) -> optimizers.FitConfig:
     )
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def run(cfg: dict, seed: int, out_dir: str) -> dict:
-    """Fit per the config, write fitresult.json + lb_trace.csv (+ comparison)."""
+    """Fit per the config, write fitresult.json + lb_trace.csv (+ comparison).
+
+    Unknown keys and compare.replicates below 2 are rejected before the fit.
+    """
+    unknown = sorted(k for k in cfg if k not in CONFIG_KEYS and not k.startswith("_"))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    replicates = _given(cfg, int, replicates="compare.replicates")
+    if replicates.get("replicates", 2) < 2:
+        raise ConfigError(f"compare.replicates must be >= 2, got {cfg['compare.replicates']}")
     model = build_model(cfg)
     fc = fit_config_from(cfg, seed)
     if fc.batch_size is None and fc.divergence in optimizers.ALG2_DIVERGENCES:
@@ -149,17 +174,14 @@ def run(cfg: dict, seed: int, out_dir: str) -> dict:
     fit_path = os.path.join(out_dir, "fitresult.json")
     with open(fit_path, "w") as fh:
         fh.write(result.to_json())
-    with open(os.path.join(out_dir, "lb_trace.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "lower_bound_mean"])
-        for i, v in enumerate(result.lb_trace):
-            writer.writerow([i + 1, v])
+    _write_csv(os.path.join(out_dir, "lb_trace.csv"), ["window", "lower_bound_mean"],
+               enumerate(result.lb_trace, start=1))
 
     ref_key = _path(cfg, "compare.ref_csv")
     if ref_key is not None:
         ref = diagnostics.load_reference_csv(ref_key)
         report = diagnostics.compare(result.state.mu, result.state.factor, ref, seed=seed,
-                                     **_given(cfg, int, replicates="compare.replicates"))
+                                     **replicates)
         with open(os.path.join(out_dir, "comparison.json"), "w") as fh:
             fh.write(report.to_json())
         report.write_csv(os.path.join(out_dir, "comparison.csv"))
@@ -224,12 +246,10 @@ def _cmd_meanfield(args) -> int:
     kl = meanfield.meanfield_kl(lamb)
     fd = meanfield.meanfield_fd(lamb)
     sd = meanfield.meanfield_sd_nqp(lamb)
-    with open(os.path.join(args.out, "meanfield.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["divergence", "coordinate", "sigma", "kkt_case"])
-        for sol in (kl, fd, sd):
-            for i, s in enumerate(sol.sigma_diag):
-                writer.writerow([sol.divergence, i, s, sol.kkt_cases[i]])
+    _write_csv(os.path.join(args.out, "meanfield.csv"),
+               ["divergence", "coordinate", "sigma", "kkt_case"],
+               ([sol.divergence, i, s, sol.kkt_cases[i]]
+                for sol in (kl, fd, sd) for i, s in enumerate(sol.sigma_diag)))
     if args.region_sweep:
         meanfield.sd_fd_region_sweep(step=args.region_step,
                                     path=os.path.join(args.out, "sd_fd_regions.csv"))
@@ -244,14 +264,11 @@ def _cmd_unilab(args) -> int:
         params[k] = float(v)
     target = unilab.make_target(args.target, **params)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "unilab.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target", "params", "divergence", "metric", "value"])
-        for div in unilab.DIVERGENCES:
-            fit = unilab.uni_fit(target, div)
-            for metric, value in fit.metrics.items():
-                writer.writerow([args.target, json.dumps(params, sort_keys=True),
-                                 div, metric, value])
+    fits = {div: unilab.uni_fit(target, div) for div in unilab.DIVERGENCES}
+    _write_csv(os.path.join(args.out, "unilab.csv"),
+               ["target", "params", "divergence", "metric", "value"],
+               ([args.target, json.dumps(params, sort_keys=True), div, metric, value]
+                for div, fit in fits.items() for metric, value in fit.metrics.items()))
     print(f"wrote {args.out}/unilab.csv")
     return 0
 
@@ -263,12 +280,10 @@ def _cmd_recursion(args) -> int:
     eps0 = rng.standard_normal(args.dim)
     trace = meanfield.natural_gradient_recursion(j0, eps0, args.beta, args.t_max)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "recursion.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "eps_norm", "delta_norm", "eps_bound", "delta_bound"])
-        for t in range(trace.eps_norms.size):
-            writer.writerow([t, trace.eps_norms[t], trace.delta_norms[t],
-                             trace.eps_bounds[t], trace.delta_bounds[t]])
+    _write_csv(os.path.join(args.out, "recursion.csv"),
+               ["t", "eps_norm", "delta_norm", "eps_bound", "delta_bound"],
+               zip(range(trace.eps_norms.size), trace.eps_norms, trace.delta_norms,
+                   trace.eps_bounds, trace.delta_bounds))
     print(f"wrote {args.out}/recursion.csv (final eps {trace.eps_norms[-1]:.3e})")
     return 0
 
@@ -278,12 +293,10 @@ def _cmd_gradvar(args) -> int:
     spreads = optimizers.gradient_sd_experiment(lamb, nu, t_scale=args.t_scale,
                                                 n_draws=args.draws, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "gradient_sd.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["divergence", "coordinate", "sd_mu", "sd_t_diag"])
-        for div, (sd_mu, sd_t) in spreads.items():
-            for i in range(sd_mu.size):
-                writer.writerow([div, i, sd_mu[i], sd_t[i]])
+    _write_csv(os.path.join(args.out, "gradient_sd.csv"),
+               ["divergence", "coordinate", "sd_mu", "sd_t_diag"],
+               ([div, i, sd_mu[i], sd_t[i]]
+                for div, (sd_mu, sd_t) in spreads.items() for i in range(sd_mu.size)))
     medians = {div: (float(np.median(v[0])), float(np.median(v[1])))
                for div, v in spreads.items()}
     print(json.dumps(medians, indent=1, sort_keys=True))

@@ -53,8 +53,7 @@ def _is_numeric(values):
         return False
 
 
-def load_csv_design(path, response: str, intercept: bool = True,
-                    categorical=None) -> LoadedDesign:
+def load_csv_design(path, response: str, intercept: bool = True) -> LoadedDesign:
     """Design matrix from a header CSV.
 
     Columns parsing as numbers are standardized (constant columns rejected);
@@ -72,7 +71,6 @@ def load_csv_design(path, response: str, intercept: bool = True,
     blocks = []
     numeric_stats = {}
     categorical_levels = {}
-    forced_cat = set(categorical or ())
     if intercept:
         names.append("intercept")
         blocks.append(np.ones((len(rows), 1)))
@@ -80,7 +78,7 @@ def load_csv_design(path, response: str, intercept: bool = True,
         if h == response:
             continue
         vals = cols[h]
-        if h not in forced_cat and _is_numeric(vals):
+        if _is_numeric(vals):
             x = np.asarray([float(v) for v in vals])
             sd = float(x.std(ddof=0))
             if sd == 0.0:

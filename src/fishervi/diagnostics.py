@@ -165,13 +165,13 @@ def draw_variational(mu, factor, m, rng) -> np.ndarray:
 
 
 def compare(mu, factor, ref: ReferenceSamples, seed: int, replicates: int = 50,
-            m: int = 1000, bandwidth: float | None = None) -> ComparisonReport:
+            m: int = 1000) -> ComparisonReport:
     """Score a fitted (mu, T) against reference draws.
 
     Each replicate draws m fresh variational samples and subsamples m
     reference draws without replacement with a replicate-indexed seed stream,
-    so the result is deterministic given `seed`.  The RBF bandwidth defaults
-    to the median heuristic on the first replicate's pooled samples.
+    so the result is deterministic given `seed`.  The RBF bandwidth is the
+    median heuristic on the first replicate's pooled samples.
     """
     if ref.samples.shape[0] < m:
         raise ValueError(f"need at least {m} reference draws, have {ref.samples.shape[0]}")
@@ -187,7 +187,7 @@ def compare(mu, factor, ref: ReferenceSamples, seed: int, replicates: int = 50,
     sd_ratio = np.where(valid, q_sd / safe, np.nan)
 
     mstars = np.empty(replicates)
-    bw = bandwidth
+    bw = None
     for rep in range(replicates):
         rng = np.random.default_rng([seed, rep])
         xv = draw_variational(mu, factor, m, rng)
@@ -203,8 +203,7 @@ def compare(mu, factor, ref: ReferenceSamples, seed: int, replicates: int = 50,
         metadata={
             "kde": f"gaussian, silverman bandwidth, {KDE_GRID_POINTS}-point grid, "
                    f"+-{KDE_GRID_SPAN_SD} sd",
-            "bandwidth_rule": "median heuristic on first replicate" if bandwidth is None
-                              else "user supplied",
+            "bandwidth_rule": "median heuristic on first replicate",
             "m_per_replicate": m,
         },
     )

@@ -41,7 +41,6 @@ class SparsityPattern:
     pattern so optimizer state vectors stay aligned across iterations.
     """
 
-    kind: str  # "blocks" or "dense"
     n_blocks: int
     block_dims: tuple[int, ...]
     global_dim: int
@@ -78,8 +77,9 @@ class SparsityPattern:
         return n_local, kd, pos
 
     def descriptor(self) -> dict:
+        dense = self.n_blocks == 1 and self.global_dim == 0
         return {
-            "kind": self.kind,
+            "kind": "dense" if dense else "blocks",
             "n_blocks": self.n_blocks,
             "block_dims": list(self.block_dims),
             "global_dim": self.global_dim,
@@ -89,21 +89,15 @@ class SparsityPattern:
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "SparsityPattern":
-        if desc["kind"] == "dense":
-            return build_dense_pattern(desc["dim"])
-        return build_pattern(
-            desc["n_blocks"],
-            list(desc["block_dims"]),
-            desc["global_dim"],
-            desc["markov_order"],
-        )
+        return build_pattern(desc["n_blocks"], desc["block_dims"], desc["global_dim"],
+                             desc["markov_order"])
 
 
 def _envelope(first: np.ndarray):
     """Slots of a lower triangle whose row r spans columns first[r]..r, column-major."""
-    counts = np.arange(first.size) - first + 1
-    rows = np.repeat(np.arange(first.size), counts)
-    cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    counts = np.arange(1, first.size + 1) - first
+    rows = np.arange(first.size).repeat(counts)
+    cols = np.arange(rows.size) - (counts.cumsum() - counts - first).repeat(counts)
     order = np.lexsort((rows, cols))  # column-major within the lower triangle
     return rows[order], cols[order]
 
@@ -115,10 +109,10 @@ def build_pattern(n_blocks: int, block_dims, global_dim: int, markov_order: int)
     sub-diagonal blocks T_ij for 1 <= i-j <= markov_order, the global rows
     T_Gj and the lower triangle of T_GG.
     """
-    block_dims = tuple(int(b) for b in block_dims)
+    block_dims = tuple(map(int, block_dims))
     if n_blocks != len(block_dims):
         raise ValueError(f"n_blocks={n_blocks} but {len(block_dims)} block dims given")
-    if n_blocks < 1 or any(b < 1 for b in block_dims):
+    if n_blocks < 1 or min(block_dims) < 1:
         raise ValueError("need at least one local block and all block dims >= 1")
     if global_dim < 0:
         raise ValueError("global_dim must be >= 0")
@@ -128,18 +122,17 @@ def build_pattern(n_blocks: int, block_dims, global_dim: int, markov_order: int)
         raise ValueError(f"markov_order={markov_order} must be < n_blocks={n_blocks}")
 
     # rows are contiguous: block i's rows start at block i - markov_order, global rows at 0
-    offsets = np.concatenate([[0], np.cumsum(block_dims)]).astype(np.int64)
-    dim = int(offsets[-1]) + int(global_dim)
-    block_of_row = np.repeat(np.arange(n_blocks), block_dims)
-    r, c = _envelope(np.concatenate([offsets[np.maximum(block_of_row - markov_order, 0)],
-                                     np.zeros(global_dim, dtype=np.int64)]))
+    offsets = np.array((0,) + block_dims, dtype=np.int64).cumsum()
+    n_local = int(offsets[-1])
+    first = np.zeros(n_local + global_dim, dtype=np.int64)
+    first[:n_local] = offsets[np.maximum(np.arange(n_blocks) - markov_order, 0)].repeat(block_dims)
+    r, c = _envelope(first)
     return SparsityPattern(
-        kind="blocks",
         n_blocks=n_blocks,
         block_dims=block_dims,
         global_dim=int(global_dim),
         markov_order=int(markov_order),
-        dim=dim,
+        dim=n_local + int(global_dim),
         rows=r,
         cols=c,
     )
@@ -149,17 +142,7 @@ def build_dense_pattern(dim: int) -> SparsityPattern:
     """Full lower triangle; fallback when the precision has no sparse structure."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    r, c = _envelope(np.zeros(dim, dtype=np.int64))
-    return SparsityPattern(
-        kind="dense",
-        n_blocks=1,
-        block_dims=(dim,),
-        global_dim=0,
-        markov_order=0,
-        dim=dim,
-        rows=r,
-        cols=c,
-    )
+    return build_pattern(1, (dim,), 0, 0)
 
 
 def slot_products(x: np.ndarray, y: np.ndarray, pattern: SparsityPattern) -> np.ndarray:

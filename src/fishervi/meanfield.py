@@ -107,20 +107,21 @@ def nqp_h_matrix(lamb) -> np.ndarray:
     return (lamb ** 2) / np.outer(d, d)
 
 
-def solve_nqp(h, tol: float = KKT_TOL, max_sweeps: int = NQP_MAX_SWEEPS) -> np.ndarray:
+def solve_nqp(h) -> np.ndarray:
     """Minimize 1/2 s^t H s - 1^t s subject to s >= 0.
 
     Cyclic coordinate descent with non-negativity clipping; each coordinate
     update is the exact 1-d minimizer, so the objective is monotone and the
     iteration converges for SPD H.  Stops when the KKT residual
-    max_i { |(Hs)_i - 1| if s_i > 0 else max(0, 1 - (Hs)_i) } drops below tol.
+    max_i { |(Hs)_i - 1| if s_i > 0 else max(0, 1 - (Hs)_i) } drops below KKT_TOL
+    within NQP_MAX_SWEEPS sweeps.
     """
     h = np.asarray(h, dtype=float)
     d = h.shape[0]
     s = np.ones(d)  # the uncoupled solution; exact for diagonal H
     hs = h @ s
     diag = np.diag(h)
-    for _ in range(max_sweeps):
+    for _ in range(NQP_MAX_SWEEPS):
         for i in range(d):
             si_new = max(0.0, s[i] - (hs[i] - 1.0) / diag[i])
             delta = si_new - s[i]
@@ -128,13 +129,13 @@ def solve_nqp(h, tol: float = KKT_TOL, max_sweeps: int = NQP_MAX_SWEEPS) -> np.n
                 hs += delta * h[:, i]
                 s[i] = si_new
         resid = np.where(s > 0, np.abs(hs - 1.0), np.maximum(0.0, 1.0 - hs))
-        if resid.max() < tol:
+        if resid.max() < KKT_TOL:
             return s
-    raise RuntimeError(f"NQP solver did not reach KKT residual {tol} "
-                       f"in {max_sweeps} sweeps")
+    raise RuntimeError(f"NQP solver did not reach KKT residual {KKT_TOL} "
+                       f"in {NQP_MAX_SWEEPS} sweeps")
 
 
-def meanfield_sd_nqp(lamb, tol: float = KKT_TOL) -> MeanFieldSolution:
+def meanfield_sd_nqp(lamb) -> MeanFieldSolution:
     """Score-divergence mean-field optimum via the non-negative quadratic program.
 
     Solves for s_i = Sigma_ii Lambda_ii >= 0 and verifies the KKT dichotomy:
@@ -143,7 +144,7 @@ def meanfield_sd_nqp(lamb, tol: float = KKT_TOL) -> MeanFieldSolution:
     """
     lamb = _as_spd(lamb, "Lambda")
     h = nqp_h_matrix(lamb)
-    s = solve_nqp(h, tol=tol)
+    s = solve_nqp(h)
     # coordinate descent lands active coordinates at exactly 0.0; the 1e-12
     # fallback only absorbs borderline iterates
     cases = []
@@ -156,7 +157,7 @@ def meanfield_sd_nqp(lamb, tol: float = KKT_TOL) -> MeanFieldSolution:
     # re-verify KKT after clipping tiny actives
     hs = h @ s
     for i, case in enumerate(cases):
-        ok = (hs[i] > 1.0 - tol) if case == "active" else (abs(hs[i] - 1.0) <= 10 * tol)
+        ok = (hs[i] > 1.0 - KKT_TOL) if case == "active" else (abs(hs[i] - 1.0) <= 10 * KKT_TOL)
         if not ok:
             raise RuntimeError(f"KKT violation at coordinate {i}: case={case}, (Hs)_i={hs[i]}")
     sigma = s / np.diag(lamb)
@@ -176,12 +177,13 @@ class VarianceOrderingReport:
     kkt_cases: list
 
 
-def variance_ordering_check(lamb, m_diag=None, margin: float = 1e-10) -> VarianceOrderingReport:
+def variance_ordering_check(lamb, m_diag=None) -> VarianceOrderingReport:
     """Variance-ordering report: weighted/score optima never exceed the KL optimum.
 
     Also evaluates the sqrt(2) bound on Sigma^S_ii / Sigma^F_ii when Lambda is
-    diagonally dominant.
+    diagonally dominant.  Comparisons allow a 1e-10 margin.
     """
+    margin = 1e-10
     lamb = _as_spd(lamb, "Lambda")
     d = lamb.shape[0]
     if m_diag is None:

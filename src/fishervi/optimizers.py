@@ -14,7 +14,7 @@ SparsityPattern are ever formed or updated, and Sigma is never densified
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -289,17 +289,9 @@ class FitConfig:
                 raise ValueError("init_mu must be a 1-D array of finite values")
 
     def echo(self) -> dict:
-        out = {
-            "divergence": self.divergence,
-            "seed": self.seed,
-            "max_iter": self.max_iter,
-            "window": self.window,
-            "batch_size": self.batch_size,
-            "adadelta_rho": self.adadelta_rho,
-            "adadelta_eps": self.adadelta_eps,
-            "init_t_scale": self.init_t_scale,
-            "init_mu": None if self.init_mu is None else list(map(float, self.init_mu)),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pattern"}
+        if self.init_mu is not None:
+            out["init_mu"] = list(map(float, self.init_mu))
         return out
 
 
@@ -456,16 +448,20 @@ def bam_update_from_stats(stats: BatchStats, mu_t, sigma_t, rho: float):
     return mu_new, sigma_new
 
 
+def _dense_batch_stats(mu, sigma, model, batch_size: int, rng) -> BatchStats:
+    """Batch statistics of batch_size draws from N(mu, Sigma), Sigma dense."""
+    chol = np.linalg.cholesky(sigma)
+    z = rng.standard_normal((batch_size, mu.size))
+    theta_mat = (mu[None, :] + z @ chol.T).T
+    return compute_batch_stats(theta_mat, model.grad_log_h(theta_mat))
+
+
 def bam_step(mu, sigma, model, batch_size: int, t: int, rng):
     """One proximal iteration with learning rate rho_t = B d / t."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    d = mu.size
-    chol = np.linalg.cholesky(sigma)
-    z = rng.standard_normal((batch_size, d))
-    theta_mat = (mu[None, :] + z @ chol.T).T
-    stats = compute_batch_stats(theta_mat, model.grad_log_h(theta_mat))
-    rho = batch_size * d / t
+    stats = _dense_batch_stats(mu, sigma, model, batch_size, rng)
+    rho = batch_size * mu.size / t
     return bam_update_from_stats(stats, mu, sigma, rho)
 
 
@@ -493,10 +489,7 @@ def sdb_natural_step(mu, sigma, target: GaussianTarget, rho: float,
         grad_sigma = v - sigma_inv  # V - Sigma^{-1} U Sigma^{-1} with U -> Sigma
         grad_mu = 2.0 * lamb @ (mu - nu)
     else:
-        chol = np.linalg.cholesky(sigma)
-        z = rng.standard_normal((batch_size, mu.size))
-        theta_mat = (mu[None, :] + z @ chol.T).T
-        stats = compute_batch_stats(theta_mat, target.grad_log_h(theta_mat))
+        stats = _dense_batch_stats(mu, sigma, target, batch_size, rng)
         v = stats.v_mat()
         u = stats.u_mat(mu)
         grad_sigma = v - sigma_inv @ u @ sigma_inv

@@ -151,14 +151,16 @@ class LogisticModel:
         return -(self.X.T @ (w * (1.0 - w) * (self.X @ v))) - v / self.sigma0_sq
 
 
-def _vech_indices(r):
-    """Row/col index arrays of the lower triangle of an r x r matrix, column-major."""
-    cols, rows = [], []
-    for c in range(r):
-        for rr in range(c, r):
-            rows.append(rr)
-            cols.append(c)
-    return np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+def _bernoulli_a2(eta):
+    w = expit(eta)
+    return w * (1.0 - w)
+
+
+# canonical-family log partition A and its first two derivatives, analytic
+_LOG_PARTITION = {
+    "bernoulli-logit": (softplus, expit, _bernoulli_a2),
+    "poisson-log": (np.exp, np.exp, np.exp),
+}
 
 
 class GlmmModel:
@@ -174,7 +176,7 @@ class GlmmModel:
     may be none.
     """
 
-    FAMILIES = ("bernoulli-logit", "poisson-log")
+    FAMILIES = tuple(_LOG_PARTITION)
     default_batch_size = 5
 
     def __init__(self, family, X_blocks, Z_blocks, y_blocks,
@@ -182,6 +184,7 @@ class GlmmModel:
         if family not in self.FAMILIES:
             raise ValueError(f"family must be one of {self.FAMILIES}")
         self.family = family
+        self._A, self._A1, self._A2 = _LOG_PARTITION[family]
         x_blocks = [np.asarray(x, dtype=float) for x in X_blocks]
         z_blocks = [np.asarray(z, dtype=float) for z in Z_blocks]
         y_blocks = [np.asarray(yy, dtype=float) for yy in y_blocks]
@@ -206,31 +209,15 @@ class GlmmModel:
         self.sigma_zeta_sq = float(sigma_zeta_sq)
         self.n_zeta = self.r * (self.r + 1) // 2
         self.dim = self.n_subjects * self.r + self.p + self.n_zeta
-        self._wrows, self._wcols = _vech_indices(self.r)
-        self._wdiag = np.flatnonzero(self._wrows == self._wcols)
+        w_pattern = build_dense_pattern(self.r)  # the vech(W) slots
+        self._wrows, self._wcols = w_pattern.rows, w_pattern.cols
+        self._wdiag = w_pattern.diag_slots
         if self.family == "poisson-log":
             self._y_const = -float(np.sum(gammaln(self.y + 1.0)))
         else:
             self._y_const = 0.0
             if not np.all(np.isin(self.y, (0.0, 1.0))):
                 raise ValueError("bernoulli responses must be binary 0/1")
-
-    # canonical-family log partition A and derivatives, analytic
-    def _A(self, eta):
-        if self.family == "bernoulli-logit":
-            return softplus(eta)
-        return np.exp(eta)
-
-    def _A1(self, eta):
-        if self.family == "bernoulli-logit":
-            return expit(eta)
-        return np.exp(eta)
-
-    def _A2(self, eta):
-        if self.family == "bernoulli-logit":
-            w = expit(eta)
-            return w * (1.0 - w)
-        return np.exp(eta)
 
     def sparsity_hint(self) -> SparsityPattern:
         return build_pattern(self.n_subjects, [self.r] * self.n_subjects,
@@ -344,8 +331,7 @@ class SvModel:
         self.sigma0_sq = float(sigma0_sq)
 
     def sparsity_hint(self) -> SparsityPattern:
-        return build_pattern(self.n, [1] * self.n, 3, 1) if self.n > 1 \
-            else build_pattern(1, [1], 3, 0)
+        return build_pattern(self.n, [1] * self.n, 3, min(1, self.n - 1))
 
     def unpack(self, theta):
         """(b, alpha, lambda, psi) of a theta of shape (dim,) or (dim, B)."""

@@ -193,17 +193,16 @@ def _expect(f, mu, sigma_sq, nodes):
     return float(w @ vals)
 
 
-def gauss_hermite_expectation(f, mu, sigma_sq, nodes: int = QUAD_NODES):
+def gauss_hermite_expectation(f, mu, sigma_sq):
     """Adaptive-order expectation: doubles the rule when two orders disagree."""
-    lo = _expect(f, mu, sigma_sq, nodes)
-    hi = _expect(f, mu, sigma_sq, 2 * nodes)
+    lo = _expect(f, mu, sigma_sq, QUAD_NODES)
+    hi = _expect(f, mu, sigma_sq, 2 * QUAD_NODES)
     if abs(hi - lo) > QUAD_AGREE_TOL * max(1.0, abs(hi)):
-        return _expect(f, mu, sigma_sq, 4 * nodes)
+        return _expect(f, mu, sigma_sq, 4 * QUAD_NODES)
     return hi
 
 
-def uni_objective(target, divergence: str, mu: float, sigma_sq: float,
-                  nodes: int = QUAD_NODES) -> float:
+def uni_objective(target, divergence: str, mu: float, sigma_sq: float) -> float:
     """Divergence objective between N(mu, sigma_sq) and the target.
 
     KLD returns the negative evidence lower bound (the KL divergence when the
@@ -216,21 +215,21 @@ def uni_objective(target, divergence: str, mu: float, sigma_sq: float,
         raise ValueError(f"divergence must be one of {DIVERGENCES}")
     if divergence == "KLD":
         ent = -0.5 * math.log(2.0 * math.pi * sigma_sq) - 0.5
-        return ent - gauss_hermite_expectation(target.log_pdf, mu, sigma_sq, nodes)
+        return ent - gauss_hermite_expectation(target.log_pdf, mu, sigma_sq)
     scale = sigma_sq if divergence == "SD" else 1.0
 
     def integrand(theta):
         g = target.score(theta) + (theta - mu) / sigma_sq
         return scale * g * g
 
-    return gauss_hermite_expectation(integrand, mu, sigma_sq, nodes)
+    return gauss_hermite_expectation(integrand, mu, sigma_sq)
 
 
-def _objective_and_grad(target, divergence, mu, log_s2, nodes=QUAD_NODES):
+def _objective_and_grad(target, divergence, mu, log_s2):
     """Objective and analytic gradient in (mu, log sigma^2) on a fixed rule."""
     sigma_sq = math.exp(log_s2)
     sigma = math.sqrt(sigma_sq)
-    x, w = _gh_nodes(nodes)
+    x, w = _gh_nodes(QUAD_NODES)
     theta = mu + math.sqrt(2.0) * sigma * x
     dtheta_ds2 = x / (math.sqrt(2.0) * sigma)
 
@@ -277,12 +276,11 @@ class UniFit:
 LOG_S2_CEILING = 40.0
 
 
-def uni_fit(target, divergence: str, nodes: int = QUAD_NODES,
-            n_restarts: int = 8, with_metrics: bool = True,
+def uni_fit(target, divergence: str, with_metrics: bool = True,
             accuracy_window=None) -> UniFit:
     """Multi-start L-BFGS fit of (mu, log sigma^2).
 
-    Starts lie on a log-variance grid in [-6, 2] with mean offsets
+    Eight starts lie on a log-variance grid in [-6, 2] with mean offsets
     {-2, 0, 2} * sigma_star around the target mode; several starts matter
     because the score divergence can have multiple local minima.  Starts
     that escape to the variance ceiling are discarded: for heavy-tailed
@@ -293,7 +291,7 @@ def uni_fit(target, divergence: str, nodes: int = QUAD_NODES,
         raise ValueError(f"divergence must be one of {DIVERGENCES}")
     center = target.mode
     sd_star = math.sqrt(target.variance)
-    log_s2_grid = np.linspace(-6.0, 2.0, n_restarts)
+    log_s2_grid = np.linspace(-6.0, 2.0, 8)
     offsets = np.array([-2.0, 0.0, 2.0]) * sd_star
     starts = [(center + offsets[k % 3], ls2) for k, ls2 in enumerate(log_s2_grid)]
 
@@ -304,7 +302,7 @@ def uni_fit(target, divergence: str, nodes: int = QUAD_NODES,
 
     def fun(xv):
         try:
-            val, d_mu, d_ls2 = _objective_and_grad(target, divergence, xv[0], xv[1], nodes)
+            val, d_mu, d_ls2 = _objective_and_grad(target, divergence, xv[0], xv[1])
         except (QuadratureError, OverflowError):
             return 1e15, np.zeros(2)
         if not math.isfinite(val):
@@ -326,11 +324,11 @@ def uni_fit(target, divergence: str, nodes: int = QUAD_NODES,
             best = res
     if best is None:
         raise RuntimeError(
-            f"all {n_restarts} starts failed for {divergence} ({n_runaway} ran away)")
+            f"all {len(starts)} starts failed for {divergence} ({n_runaway} ran away)")
 
     mu_hat, log_s2_hat = float(best.x[0]), float(best.x[1])
     collapsed = log_s2_hat <= floor + 1e-9
-    val, d_mu, d_ls2 = _objective_and_grad(target, divergence, mu_hat, log_s2_hat, nodes)
+    val, d_mu, d_ls2 = _objective_and_grad(target, divergence, mu_hat, log_s2_hat)
     if collapsed:
         # at the variance floor only the projected gradient must vanish
         d_ls2 = min(0.0, d_ls2)
@@ -381,11 +379,11 @@ def accuracy(mu, sigma_sq, target, window=None) -> float:
 # Lambert W and log-inverse-gamma closed forms
 
 
-def lambert_w0(x: float, tol: float = 1e-13, max_iter: int = 100) -> float:
+def lambert_w0(x: float) -> float:
     """Principal branch W0: the w >= -1 with w e^w = x, for x >= -1/e.
 
     Halley iteration from a branch-adjusted initial guess; stops when the
-    residual |w e^w - x| drops below tol.
+    residual |w e^w - x| drops below 1e-13 max(1, |x|), within 100 steps.
     """
     x = float(x)
     inv_e = -math.exp(-1.0)
@@ -405,15 +403,15 @@ def lambert_w0(x: float, tol: float = 1e-13, max_iter: int = 100) -> float:
     else:
         w = math.log1p(x)
     scale = max(1.0, abs(x))
-    for _ in range(max_iter):
+    for _ in range(100):
         ew = math.exp(w)
         f = w * ew - x
-        if abs(f) < tol * scale:
+        if abs(f) < 1e-13 * scale:
             return w
         # Halley step for f(w) = w e^w - x
         denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0))
         w -= f / denom
-    raise RuntimeError(f"lambert_w0 failed to reach residual {tol} for x={x}")
+    raise RuntimeError(f"lambert_w0 failed to reach residual 1e-13 for x={x}")
 
 
 @dataclass

@@ -72,7 +72,7 @@ def test_criterion_01_weighted_divergence_monte_carlo():
         chol = np.linalg.cholesky(sigma)
         theta = mu + rng.standard_normal((n, d)) @ chol.T
         diff = -(theta - mu) @ np.linalg.inv(sigma) + (theta - nu) @ lamb
-        vals = np.einsum("ij,jk,ik->i", diff, m, diff)
+        vals = np.einsum("ij,ij->i", diff @ m, diff)
         mc = vals.mean()
         se = vals.std(ddof=1) / math.sqrt(n)
         closed = weighted_fd_gaussians(mu, sigma, nu, lamb, m)

@@ -152,6 +152,46 @@ class TestFitCommand:
                 assert line.startswith(f"{path}: stop=")
                 assert outputs(tmp_path / f"c{k}_out") == expected[k]
 
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_unknown_key_rejected_before_fit(self, gaussian_setup, tmp_path, capsys, command):
+        cfg, _, _ = gaussian_setup
+        cfg.write_text(cfg.read_text() + "optimizer.adadelta_esp = 1e-3\n"
+                       "optimiser.window = 7\n")
+        out = tmp_path / "run_out"
+        argv = (["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+                if command == "fit" else ["sweep", str(cfg)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown config key" in err
+        assert "optimizer.adadelta_esp" in err and "optimiser.window" in err
+        assert not out.exists()
+
+    def test_sweep_config_keys_accepted(self, tmp_path, rng):
+        # the keys of the benchmark's logistic sweep configs
+        x = rng.standard_normal((40, 2))
+        y = (x[:, 0] + rng.standard_normal(40) > 0).astype(int)
+        with open(tmp_path / "data.csv", "w") as fh:
+            fh.write("a,b,y\n" + "".join(f"{a!r},{b!r},{v}\n" for (a, b), v in zip(x, y)))
+        cfg = tmp_path / "logit.cfg"
+        cfg.write_text("model.kind = logistic\nmodel.data_csv = data.csv\n"
+                       "model.response = y\nmodel.sigma0_sq = 100.0\ndivergence = SDr\n"
+                       "optimizer.max_iter = 200\noptimizer.window = 50\n"
+                       "optimizer.adadelta_eps = 1e-07\nseed = 3\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", str(cfg), "--workers", "2"]) == 0
+        assert (tmp_path / "out" / "fitresult.json").exists()
+
+    def test_compare_replicates_below_two_rejected(self, gaussian_setup, tmp_path, capsys):
+        cfg, nu, _ = gaussian_setup
+        np.savetxt(tmp_path / "ref.csv", np.zeros((1000, nu.size)), delimiter=",",
+                   header=",".join(f"v{i}" for i in range(nu.size)), comments="")
+        cfg.write_text(cfg.read_text() + "compare.ref_csv = ref.csv\ncompare.replicates = 1\n")
+        out = tmp_path / "o"
+        assert main(["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "compare.replicates" in err
+        assert not (out / "comparison.json").exists() and not out.exists()
+
 
 class TestCompareCommand:
     def test_compare_outputs(self, gaussian_setup, tmp_path, rng):

@@ -66,6 +66,29 @@ class TestBuildPattern:
             q = SparsityPattern.from_descriptor(p.descriptor())
             assert positions(p) == positions(q)
 
+    @pytest.mark.parametrize("desc, expected", [
+        # descriptors as earlier versions wrote them, with the stored kind
+        ({"kind": "dense", "n_blocks": 1, "block_dims": [4], "global_dim": 0,
+          "markov_order": 0, "dim": 4}, build_dense_pattern(4)),
+        ({"kind": "blocks", "n_blocks": 3, "block_dims": [2, 1, 2], "global_dim": 2,
+          "markov_order": 1, "dim": 7}, build_pattern(3, [2, 1, 2], 2, 1)),
+    ])
+    def test_descriptor_forms_load_to_same_pattern(self, desc, expected):
+        from fishervi.linalg import SparsityPattern
+
+        q = SparsityPattern.from_descriptor(desc)
+        assert q.descriptor() == desc == expected.descriptor()
+        for got, want in ((q.rows, expected.rows), (q.cols, expected.cols),
+                          (q.band_layout[2], expected.band_layout[2])):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_descriptor_kind(self, d):
+        # derived: "dense" for one block and no global rows
+        assert build_dense_pattern(d).descriptor()["kind"] == "dense"
+        assert build_pattern(1, [d], 1, 0).descriptor()["kind"] == "blocks"
+        assert build_pattern(2, [d, 1], 0, 1).descriptor()["kind"] == "blocks"
+
 
 class TestSolves:
     def test_identity(self):

@@ -47,6 +47,39 @@ def random_state(rng, pattern, t_scale=1.0):
     return rng.standard_normal(pattern.dim) * 0.5, factor
 
 
+def dense_alg1_reference(mu, factor, target, z):
+    """{divergence: (desc_mu, desc_t)} from the dense Algorithm-1 displays, for a
+    Gaussian target (Hessian -Lambda) and one draw z."""
+    pattern = factor.pattern
+    t = factor.as_dense()
+    t_inv = np.linalg.inv(t)
+    sigma = t_inv.T @ t_inv
+    u = t_inv.T @ z
+    theta = mu + u
+    gh = target.grad_log_h(theta)
+    hess = -target.lamb
+    g = gh + t @ t.T @ (theta - mu)
+    dscale = np.ones(pattern.nnz)
+    dscale[pattern.diag_slots] = factor.diag
+
+    def vech(m):
+        return m[pattern.rows, pattern.cols]
+
+    # KLD: ascent estimates g_mu = g, g_T = -u v^t with v = T^{-1} g
+    v = t_inv @ g
+    return {"KLD": (-g, dscale * vech(np.outer(u, v))),
+            # FDr: grad_mu = 2 H g; grad_T = 2 vech{g z^t - T^{-t} z g^t H T^{-t}}
+            "FDr": (2.0 * hess @ g,
+                    2.0 * dscale * vech(np.outer(g, z) - np.outer(u, t_inv @ (hess @ g)))),
+            # SDr (two-term supplement display, independent of the
+            # transformed-variable route used by the implementation):
+            # grad_mu = 2 H Sigma g
+            # grad_T = -2 vech{Sigma g gh^t T^{-t} + T^{-t} z g^t Sigma H T^{-t}}
+            "SDr": (2.0 * hess @ sigma @ g,
+                    -2.0 * dscale * vech(np.outer(sigma @ g, t_inv @ gh)
+                                         + np.outer(u, t_inv @ (hess @ (sigma @ g)))))}
+
+
 def dense_alg2_reference(mu, factor, target, z):
     """{divergence: (desc_mu, desc_t)} from the dense summary-statistic displays."""
     pattern = factor.pattern
@@ -127,38 +160,27 @@ class TestAlgorithm1:
         pattern = build_dense_pattern(d)
         mu, factor = random_state(rng, pattern)
         z = rng.standard_normal(d)
-        t = factor.as_dense()
-        t_inv = np.linalg.inv(t)
-        sigma = t_inv.T @ t_inv
-        u = t_inv.T @ z
-        theta = mu + u
-        gh = target.grad_log_h(theta)
-        hess = -lamb
-        g = gh + t @ t.T @ (theta - mu)
-        dscale = np.ones(pattern.nnz)
-        dscale[pattern.diag_slots] = factor.diag
-
-        def vech(m):
-            return m[pattern.rows, pattern.cols]
-
-        # KLD: ascent estimates g_mu = g, g_T = -u v^t with v = T^{-1} g
-        v = t_inv @ g
-        ref = {"KLD": (-g, dscale * vech(np.outer(u, v))),
-               # FDr: grad_mu = 2 H g; grad_T = 2 vech{g z^t - T^{-t} z g^t H T^{-t}}
-               "FDr": (2.0 * hess @ g,
-                       2.0 * dscale * vech(np.outer(g, z)
-                                           - np.outer(u, t_inv @ (hess @ g)))),
-               # SDr (two-term supplement display, independent of the
-               # transformed-variable route used by the implementation):
-               # grad_mu = 2 H Sigma g
-               # grad_T = -2 vech{Sigma g gh^t T^{-t} + T^{-t} z g^t Sigma H T^{-t}}
-               "SDr": (2.0 * hess @ sigma @ g,
-                       -2.0 * dscale * vech(np.outer(sigma @ g, t_inv @ gh)
-                                            + np.outer(u, t_inv @ (hess @ (sigma @ g)))))}
-        for div, (ref_mu, ref_t) in ref.items():
+        for div, (ref_mu, ref_t) in dense_alg1_reference(mu, factor, target, z).items():
             d_mu, d_t, _ = gradient_alg1(mu, factor, target, div, z)
             np.testing.assert_allclose(d_mu, ref_mu, atol=1e-11)
             np.testing.assert_allclose(d_t, ref_t, atol=1e-11)
+
+    @settings(max_examples=150)
+    @given(pattern=st.one_of(block_patterns(), st.integers(1, 8).map(build_dense_pattern)),
+           divergence=st.sampled_from(["KLD", "FDr", "SDr"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_displays(self, pattern, divergence, seed):
+        # the slot algebra and the triangular solves against dense inverses
+        # over random patterns
+        rng = np.random.default_rng(seed)
+        target = GaussianTarget(rng.standard_normal(pattern.dim), random_spd(rng, pattern.dim))
+        mu, factor = random_state(rng, pattern)
+        z = rng.standard_normal(pattern.dim)
+        ref_mu, ref_t = dense_alg1_reference(mu, factor, target, z)[divergence]
+        d_mu, d_t, _ = gradient_alg1(mu, factor, target, divergence, z)
+        for got, ref in ((d_mu, ref_mu), (d_t, ref_t)):  # 1e-10 of the largest entry
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-10 * max(1.0, np.max(np.abs(ref))))
 
     def test_one_kld_step_matches_dense_reference(self, rng):
         # full step including Adadelta, replicated with plain dense algebra
