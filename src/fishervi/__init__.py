@@ -9,7 +9,6 @@ verifying the mean-field and convergence theory at desk scale.
 from .linalg import (
     CholFactor,
     DiagScaler,
-    SingularFactorError,
     SparsityPattern,
     build_dense_pattern,
     build_pattern,
@@ -50,7 +49,6 @@ __all__ = [
     "GlmmModel",
     "LogisticModel",
     "ReferenceSamples",
-    "SingularFactorError",
     "SparsityPattern",
     "SvModel",
     "TargetModel",

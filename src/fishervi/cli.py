@@ -212,6 +212,17 @@ def _bounded(cast, low, high=None, low_open=False):
     return parse
 
 
+def _param(text):
+    """argparse `type=` for --param: key=<number>; anything else is a usage error."""
+    key, _, value = text.partition("=")
+    try:
+        if key:
+            return key, float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected key=<number>, got {text!r}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -258,10 +269,7 @@ def _cmd_meanfield(args) -> int:
 
 
 def _cmd_unilab(args) -> int:
-    params = {}
-    for kv in args.param or []:
-        k, v = kv.split("=", 1)
-        params[k] = float(v)
+    params = dict(args.param or [])
     target = unilab.make_target(args.target, **params)
     os.makedirs(args.out, exist_ok=True)
     fits = {div: unilab.uni_fit(target, div) for div in unilab.DIVERGENCES}
@@ -347,9 +355,8 @@ def make_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=_cmd_meanfield)
 
     u = sub.add_parser("unilab", help="univariate target metric grid")
-    u.add_argument("--target", required=True,
-                   choices=["student_t", "log_inv_gamma", "skew_normal"])
-    u.add_argument("--param", action="append", metavar="key=value")
+    u.add_argument("--target", required=True, choices=unilab.TARGETS)
+    u.add_argument("--param", action="append", type=_param, metavar="key=value")
     u.add_argument("--out", required=True)
     u.set_defaults(func=_cmd_unilab)
 

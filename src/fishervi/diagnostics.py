@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import gaussian_kde
 
+from .linalg import SINGULAR_TOL
+
 MSTAR_OFFSET = 1e-5
 KDE_GRID_POINTS = 512
 KDE_GRID_SPAN_SD = 4.0
@@ -175,6 +177,8 @@ def compare(mu, factor, ref: ReferenceSamples, seed: int, replicates: int = 50,
     """
     if ref.samples.shape[0] < m:
         raise ValueError(f"need at least {m} reference draws, have {ref.samples.shape[0]}")
+    if not np.all(factor.diag >= SINGULAR_TOL):  # solves do not check it
+        raise ValueError(f"factor diagonal below {SINGULAR_TOL:.3g}; solve would overflow")
     mu = np.asarray(mu, dtype=float)
     mu_star, mode_star, sd_star = marginal_stats(ref)
     # Sigma = T^{-t} T^{-1}: Sigma_ii is the squared norm of column i of T^{-1}

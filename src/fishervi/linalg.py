@@ -22,14 +22,10 @@ import numpy as np
 from scipy.linalg import lapack
 
 # exp(STAR_DIAG_FLOOR) is the smallest diagonal we allow; anything lower is
-# clamped so the factor never underflows to an exactly singular matrix.  A
-# factor clamped at the floor is therefore solvable by construction.
+# clamped, so a factor from from_star is solvable by construction.  Solves do
+# not check the diagonal: a smaller one computes through to inf/nan.
 STAR_DIAG_FLOOR = -700.0
 SINGULAR_TOL = float(np.exp(STAR_DIAG_FLOOR))
-
-
-class SingularFactorError(FloatingPointError):
-    """Raised when a triangular solve meets a factor with underflowed diagonal."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,15 +185,13 @@ class CholFactor:
     at construction; factors are treated as immutable afterwards.
     """
 
-    __slots__ = ("pattern", "values", "star_values", "_parts", "_singular")
+    __slots__ = ("pattern", "values", "star_values", "_parts")
 
     def __init__(self, pattern: SparsityPattern, values: np.ndarray, star_values: np.ndarray):
         self.pattern = pattern
         self.values = values
         self.star_values = star_values
         self._parts = None
-        # LAPACK would return inf without complaint; checked once per factor
-        self._singular = bool(np.any(values[pattern.diag_slots] < SINGULAR_TOL))
 
     @classmethod
     def from_values(cls, pattern: SparsityPattern, values) -> "CholFactor":
@@ -256,14 +250,8 @@ class CholFactor:
                            buf[band:].reshape((self.dim - n_local, self.dim), order="F"))
         return self._parts
 
-    def _check_diag(self):
-        if self._singular:
-            raise SingularFactorError(
-                f"factor diagonal below {SINGULAR_TOL:.3g}; solve would overflow")
-
     def solve_lower(self, b: np.ndarray) -> np.ndarray:
         """x with T x = b (forward substitution; b may be a matrix of columns)."""
-        self._check_diag()
         b = np.asarray(b, dtype=float)
         ab, t_g = self._split()
         nl = ab.shape[1]
@@ -276,7 +264,6 @@ class CholFactor:
 
     def solve_upper_transpose(self, b: np.ndarray) -> np.ndarray:
         """x with T^t x = b (back substitution; b may be a matrix of columns)."""
-        self._check_diag()
         b = np.asarray(b, dtype=float)
         ab, t_g = self._split()
         nl = ab.shape[1]

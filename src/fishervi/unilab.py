@@ -8,6 +8,8 @@ Lambert W branch, used to cross-check the numerical route.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -157,49 +159,25 @@ class SkewNormal:
         return self.t ** 2 * (1.0 - 2.0 * delta ** 2 / math.pi)
 
 
+TARGETS = {cls.kind: cls for cls in (StudentT, LogInvGamma, SkewNormal)}
+
+
 def make_target(kind: str, **params):
-    if kind == "student_t":
-        return StudentT(**params)
-    if kind == "log_inv_gamma":
-        return LogInvGamma(**params)
-    if kind == "skew_normal":
-        return SkewNormal(**params)
-    raise ValueError(f"unknown univariate target kind: {kind}")
+    if kind not in TARGETS:
+        raise ValueError(f"unknown univariate target kind: {kind}")
+    names = list(inspect.signature(TARGETS[kind]).parameters)
+    if sorted(params) != sorted(names):
+        raise ValueError(f"{kind} takes parameters {', '.join(names)}, got {sorted(params)}")
+    return TARGETS[kind](**params)
 
 
 # ---------------------------------------------------------------------------
 # quadrature objectives
 
-_gh_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gh_nodes(n):
-    if n not in _gh_cache:
-        x, w = roots_hermite(n)  # stable for high orders, unlike hermgauss
-        _gh_cache[n] = (x, w / math.sqrt(math.pi))
-    return _gh_cache[n]
-
-
-def _expect(f, mu, sigma_sq, nodes):
-    """E[f(theta)] for theta ~ N(mu, sigma_sq) on a fixed Gauss-Hermite rule."""
-    x, w = _gh_nodes(nodes)
-    theta = mu + math.sqrt(2.0 * sigma_sq) * x
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = f(theta)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        idx = int(np.flatnonzero(bad)[0])
-        raise QuadratureError(f"non-finite integrand at node {idx} (theta={theta[idx]})")
-    return float(w @ vals)
-
-
-def gauss_hermite_expectation(f, mu, sigma_sq):
-    """Adaptive-order expectation: doubles the rule when two orders disagree."""
-    lo = _expect(f, mu, sigma_sq, QUAD_NODES)
-    hi = _expect(f, mu, sigma_sq, 2 * QUAD_NODES)
-    if abs(hi - lo) > QUAD_AGREE_TOL * max(1.0, abs(hi)):
-        return _expect(f, mu, sigma_sq, 4 * QUAD_NODES)
-    return hi
+    x, w = roots_hermite(n)  # stable for high orders, unlike hermgauss
+    return x, w / math.sqrt(math.pi)
 
 
 def uni_objective(target, divergence: str, mu: float, sigma_sq: float) -> float:
@@ -207,53 +185,49 @@ def uni_objective(target, divergence: str, mu: float, sigma_sq: float) -> float:
 
     KLD returns the negative evidence lower bound (the KL divergence when the
     target density is normalized); FD and SD return the divergence itself,
-    with SD = sigma^2 * FD in one dimension.
+    with SD = sigma^2 * FD in one dimension.  The rule doubles from
+    QUAD_NODES while two orders disagree, up to 4 * QUAD_NODES.
     """
     if sigma_sq <= 0:
         raise ValueError("sigma_sq must be positive")
     if divergence not in DIVERGENCES:
         raise ValueError(f"divergence must be one of {DIVERGENCES}")
-    if divergence == "KLD":
-        ent = -0.5 * math.log(2.0 * math.pi * sigma_sq) - 0.5
-        return ent - gauss_hermite_expectation(target.log_pdf, mu, sigma_sq)
-    scale = sigma_sq if divergence == "SD" else 1.0
-
-    def integrand(theta):
-        g = target.score(theta) + (theta - mu) / sigma_sq
-        return scale * g * g
-
-    return gauss_hermite_expectation(integrand, mu, sigma_sq)
+    val = _objective_and_grad(target, divergence, mu, math.log(sigma_sq))[0]
+    for nodes in (2 * QUAD_NODES, 4 * QUAD_NODES):
+        prev, val = val, _objective_and_grad(target, divergence, mu, math.log(sigma_sq), nodes)[0]
+        if abs(val - prev) <= QUAD_AGREE_TOL * max(1.0, abs(val)):
+            break
+    return val
 
 
-def _objective_and_grad(target, divergence, mu, log_s2):
-    """Objective and analytic gradient in (mu, log sigma^2) on a fixed rule."""
+def _objective_and_grad(target, divergence, mu, log_s2, nodes=QUAD_NODES):
+    """Objective and analytic gradient in (mu, log sigma^2) on a fixed rule;
+    QuadratureError at the first node where the objective's integrand is not finite."""
     sigma_sq = math.exp(log_s2)
     sigma = math.sqrt(sigma_sq)
-    x, w = _gh_nodes(QUAD_NODES)
+    x, w = _gh_nodes(nodes)
     theta = mu + math.sqrt(2.0) * sigma * x
     dtheta_ds2 = x / (math.sqrt(2.0) * sigma)
-
     with np.errstate(over="ignore", invalid="ignore"):
-        return _objective_and_grad_inner(target, divergence, mu, sigma, sigma_sq,
-                                         x, w, theta, dtheta_ds2)
-
-
-def _objective_and_grad_inner(target, divergence, mu, sigma, sigma_sq, x, w,
-                              theta, dtheta_ds2):
-    if divergence == "KLD":
-        logp = target.log_pdf(theta)
-        score = target.score(theta)
-        val = (-0.5 * math.log(2.0 * math.pi * sigma_sq) - 0.5) - float(w @ logp)
-        d_mu = -float(w @ score)
-        d_s2 = -0.5 / sigma_sq - float(w @ (score * dtheta_ds2))
-        return val, d_mu, sigma_sq * d_s2
-
-    g = target.score(theta) + math.sqrt(2.0) * x / sigma
-    sp = target.score_deriv(theta)
-    f_val = float(w @ (g * g))
-    df_mu = 2.0 * float(w @ (g * sp))
-    dg_ds2 = sp * dtheta_ds2 - math.sqrt(2.0) * x / (2.0 * sigma ** 3)
-    df_s2 = 2.0 * float(w @ (g * dg_ds2))
+        if divergence == "KLD":
+            vals = target.log_pdf(theta)
+        else:
+            g = target.score(theta) + math.sqrt(2.0) * x / sigma
+            vals = g * g
+        if not np.isfinite(vals).all():
+            idx = int(np.argmin(np.isfinite(vals)))
+            raise QuadratureError(f"non-finite integrand at node {idx} (theta={theta[idx]})")
+        if divergence == "KLD":
+            score = target.score(theta)
+            val = (-0.5 * math.log(2.0 * math.pi * sigma_sq) - 0.5) - float(w @ vals)
+            d_mu = -float(w @ score)
+            d_s2 = -0.5 / sigma_sq - float(w @ (score * dtheta_ds2))
+            return val, d_mu, sigma_sq * d_s2
+        sp = target.score_deriv(theta)
+        f_val = float(w @ vals)
+        df_mu = 2.0 * float(w @ (g * sp))
+        dg_ds2 = sp * dtheta_ds2 - math.sqrt(2.0) * x / (2.0 * sigma ** 3)
+        df_s2 = 2.0 * float(w @ (g * dg_ds2))
     if divergence == "FD":
         return f_val, df_mu, sigma_sq * df_s2
     # SD = sigma^2 F

@@ -71,7 +71,9 @@ def test_criterion_01_weighted_divergence_monte_carlo():
             m = np.diag(rng.random(d) + 0.2)
         chol = np.linalg.cholesky(sigma)
         theta = mu + rng.standard_normal((n, d)) @ chol.T
-        diff = -(theta - mu) @ np.linalg.inv(sigma) + (theta - nu) @ lamb
+        # -(theta - mu) Sigma^-1 + (theta - nu) Lambda as one product plus a constant row
+        prec = np.linalg.inv(sigma)
+        diff = theta @ (lamb - prec) + (mu @ prec - nu @ lamb)
         vals = np.einsum("ij,ij->i", diff @ m, diff)
         mc = vals.mean()
         se = vals.std(ddof=1) / math.sqrt(n)

@@ -257,6 +257,43 @@ class TestAnalysisCommands:
         lines = (out / "unilab.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * 4  # three divergences, four metrics
 
+    @pytest.mark.parametrize("target, params, named", [
+        ("student_t", ["mu=3"], "nu"),
+        ("skew_normal", [], "m, t, lam"),
+        ("log_inv_gamma", ["a1=3"], "a1, b1"),
+    ])
+    def test_unilab_wrong_params_name_the_targets(self, target, params, named,
+                                                  tmp_path, capsys):
+        # an error line naming the target's parameters and status 1, not a TypeError
+        out = tmp_path / "uni"
+        argv = ["unilab", "--target", target, "--out", str(out)]
+        for kv in params:
+            argv += ["--param", kv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target} takes parameters {named}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item", ["nu", "nu=", "nu=abc", "=3"])
+    def test_unilab_malformed_param_is_usage_error(self, item, tmp_path, capsys):
+        out = tmp_path / "uni"
+        with pytest.raises(SystemExit) as exc:
+            main(["unilab", "--target", "student_t", "--param", item, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fishervi ")
+        assert f"argument --param: expected key=<number>, got '{item}'" in err
+        assert not out.exists()
+
+    def test_unilab_choices_and_dispatch_share_one_table(self):
+        from fishervi import unilab
+        from fishervi.cli import make_parser
+
+        sub = next(a for a in make_parser()._actions if a.dest == "command")
+        target = next(a for a in sub.choices["unilab"]._actions if a.dest == "target")
+        assert list(target.choices) == list(unilab.TARGETS) == [
+            "student_t", "log_inv_gamma", "skew_normal"]
+
     def test_recursion_command(self, tmp_path):
         out = tmp_path / "rec"
         rc = main(["recursion", "--dim", "3", "--beta", "0.8", "--t-max", "60",

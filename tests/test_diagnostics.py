@@ -16,7 +16,7 @@ from fishervi.diagnostics import (
     mmd_sq_u,
     rbf_kernel,
 )
-from fishervi.linalg import CholFactor, SingularFactorError, build_dense_pattern
+from fishervi.linalg import CholFactor, build_dense_pattern
 
 
 def mmd_bruteforce(x_v, x_g, h):
@@ -160,13 +160,14 @@ class TestCompare:
             compare(mu, factor, ref, seed=0, replicates=2, m=500)
 
     def test_underflowed_factor_raises_its_own_error(self, rng):
-        # T T^t underflows to a singular matrix here; the factor's solve names the cause
+        # T T^t underflows to a singular matrix here; compare checks the
+        # factor's diagonal once at entry and names the cause
         pattern = build_dense_pattern(3)
         values = np.zeros(pattern.nnz)
         values[pattern.diag_slots] = [1e-310, 1.0, 1.0]
         factor = CholFactor.from_values(pattern, values)
         ref = ReferenceSamples(rng.standard_normal((10, 3)))
-        with pytest.raises(SingularFactorError):
+        with pytest.raises(ValueError, match="factor diagonal below"):
             compare(np.zeros(3), factor, ref, seed=0, replicates=1, m=5)
 
     @settings(max_examples=60)

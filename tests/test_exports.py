@@ -17,3 +17,13 @@ def test_oracles_are_not_part_of_the_package():
             (optimizers.BatchStats, "w_mat"), (linalg.DiagScaler, "d_diag"),
             (linalg.CholFactor, "precision")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []
+
+
+def test_second_code_paths_are_gone():
+    # solves compute through (step judges finiteness, compare checks its factor
+    # once), and uni_objective evaluates through uni_fit's quadrature
+    gone = [(fishervi, "SingularFactorError"), (linalg, "SingularFactorError"),
+            (linalg.CholFactor, "_check_diag"), (unilab, "gauss_hermite_expectation"),
+            (unilab, "_expect"), (unilab, "_objective_and_grad_inner")]
+    assert [name for owner, name in gone if hasattr(owner, name)] == []
+    assert "SingularFactorError" not in fishervi.__all__

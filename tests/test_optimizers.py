@@ -417,9 +417,9 @@ class TestFit:
 
     @pytest.mark.parametrize("divergence", ["KLD", "SDb"])
     def test_singular_initial_factor_aborts(self, divergence):
-        # T = 1e-305 I is below the solve's singularity threshold: every step
-        # is rejected, none ever succeeds, and the fit aborts instead of
-        # letting SingularFactorError escape
+        # T = 1e-305 I is below SINGULAR_TOL: solves compute through to
+        # overflowed draws, every step is rejected for its non-finite bound,
+        # none ever succeeds, and the fit aborts
         target = GaussianTarget(np.zeros(3), np.eye(3))
         cfg = FitConfig(divergence, seed=0, init_t_scale=1e-305)
         with pytest.raises(FitAbortedError, match="no step succeeded"):

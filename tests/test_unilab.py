@@ -10,8 +10,8 @@ from fishervi.unilab import (
     QuadratureError,
     SkewNormal,
     StudentT,
+    _objective_and_grad,
     accuracy,
-    gauss_hermite_expectation,
     lambert_w0,
     loggamma_closed_forms,
     make_target,
@@ -101,9 +101,20 @@ class TestObjectives:
         with pytest.raises(ValueError):
             uni_objective(StudentT(4), "FD", 0.0, -1.0)
 
-    def test_adaptive_expectation(self):
-        val = gauss_hermite_expectation(lambda th: th ** 2, 1.0, 2.0)
-        np.testing.assert_allclose(val, 3.0, rtol=1e-12)
+    def test_rule_doubles_while_orders_disagree(self):
+        # here the 200-node rule is ~1e-6 off; 400 nodes disagree with it by
+        # more than QUAD_AGREE_TOL, so uni_objective goes on to 800 nodes
+        t = StudentT(9.840435159562496)
+        mu, s2 = -0.08498784700926532, 22.55377989617991
+
+        def integrand(th):
+            g = t.score(th) + (th - mu) / s2
+            return g * g * math.exp(-0.5 * (th - mu) ** 2 / s2) / math.sqrt(2 * math.pi * s2)
+
+        ref, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=0, epsrel=1e-13, limit=500)
+        fixed, _, _ = _objective_and_grad(t, "FD", mu, math.log(s2))
+        assert abs(fixed - ref) > 1e-7 * ref
+        np.testing.assert_allclose(uni_objective(t, "FD", mu, s2), ref, rtol=1e-12)
 
 
 class TestUniFit:
@@ -217,8 +228,6 @@ class TestStationarity:
     def test_shifted_target_not_stationary(self):
         # gradient at mu = 0 for a skewed target is clearly nonzero
         t = SkewNormal(0.0, 1.0, 3.0)
-        from fishervi.unilab import _objective_and_grad
-
         for div in ("KLD", "FD", "SD"):
             _, d_mu, _ = _objective_and_grad(t, div, 0.0, 0.0)
             assert abs(d_mu) > 0.01
