@@ -35,67 +35,75 @@ class LoadedDesign:
 
 
 def _read_csv_rows(path):
+    """Stripped header, the non-empty rows and their line numbers; every row
+    must be as wide as the header, so columns can be read off by position."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
+        header = [h.strip() for h in next(reader, [])]
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: line {reader.line_num} has {len(row)} "
+                                     f"fields, the header has {len(header)}")
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return [h.strip() for h in header], rows
-
-
-def _is_numeric(values):
-    try:
-        for v in values:
-            float(v)
-        return True
-    except ValueError:
-        return False
+    return header, rows, lines
 
 
 def load_csv_design(path, response: str, intercept: bool = True) -> LoadedDesign:
     """Design matrix from a header CSV.
 
-    Columns parsing as numbers are standardized (constant columns rejected);
-    the rest are dummy-encoded with the lexicographically first level as
-    reference.  Column order: intercept, then input column order with each
-    categorical expanded level-by-level.
+    Each cell is converted once, with the syntax of Python `float` (padding
+    whitespace, exponents and underscores are accepted).  A column that
+    converts is standardized; any other is stripped and dummy-encoded with
+    the lexicographically first level as reference.  Column order:
+    intercept, then input column order with each categorical expanded
+    level-by-level.  Rejected with ValueError: ragged rows, non-finite
+    numeric cells (nan, inf, or an overflow such as 1e999) and constant
+    numeric columns.
     """
-    header, rows = _read_csv_rows(path)
+    header, rows, lines = _read_csv_rows(path)
     if response not in header:
         raise ValueError(f"response column {response!r} not in header {header}")
-    cols = {h: [row[i].strip() for row in rows] for i, h in enumerate(header)}
-    y = np.asarray([float(v) for v in cols[response]])
+    cols = dict(zip(header, zip(*rows)))
 
-    names = []
-    blocks = []
+    def finite(h, x):
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise ValueError(f"{path}: column {h!r} has the non-finite value "
+                             f"{cols[h][bad[0]].strip()!r} at line {lines[bad[0]]}")
+
+    y = np.array(cols[response], dtype=float)
+    finite(response, y)
+    names = ["intercept"] if intercept else []
+    blocks = [np.ones(len(rows))] if intercept else []
     numeric_stats = {}
     categorical_levels = {}
-    if intercept:
-        names.append("intercept")
-        blocks.append(np.ones((len(rows), 1)))
     for h in header:
         if h == response:
             continue
-        vals = cols[h]
-        if _is_numeric(vals):
-            x = np.asarray([float(v) for v in vals])
-            sd = float(x.std(ddof=0))
-            if sd == 0.0:
-                raise ValueError(f"column {h!r} is constant (zero sd); drop it first")
-            mean = float(x.mean())
-            numeric_stats[h] = (mean, sd)
-            names.append(h)
-            blocks.append(((x - mean) / sd)[:, None])
-        else:
+        try:
+            x = np.array(cols[h], dtype=float)
+        except ValueError:
+            vals = np.asarray([v.strip() for v in cols[h]], dtype=object)
             levels = sorted(set(vals))
             categorical_levels[h] = levels
-            for lev in levels[1:]:
-                names.append(f"{h}={lev}")
-                blocks.append((np.asarray(vals, dtype=object) == lev).astype(float)[:, None])
-    x_mat = np.hstack(blocks)
-    return LoadedDesign(x_mat, y, DesignInfo(names, numeric_stats,
-                                             categorical_levels, intercept))
+            names += [f"{h}={lev}" for lev in levels[1:]]
+            blocks += [(vals == lev).astype(float) for lev in levels[1:]]
+            continue
+        finite(h, x)
+        sd = float(x.std(ddof=0))
+        if sd == 0.0:
+            raise ValueError(f"column {h!r} is constant (zero sd); drop it first")
+        mean = float(x.mean())
+        numeric_stats[h] = (mean, sd)
+        names.append(h)
+        blocks.append((x - mean) / sd)
+    return LoadedDesign(np.column_stack(blocks), y,
+                        DesignInfo(names, numeric_stats, categorical_levels, intercept))
 
 
 def load_libsvm(path):
@@ -191,7 +199,7 @@ def load_epilepsy(path, model: str = "epi1") -> GlmmDesign:
     """
     if model not in ("epi1", "epi2"):
         raise ValueError("model must be 'epi1' or 'epi2'")
-    header, rows = _read_csv_rows(path)
+    header, rows, _ = _read_csv_rows(path)
     col = {h: i for i, h in enumerate(header)}
     log_age = [math.log(float(r[col["age"]])) for r in rows]
     age_mean = sum(log_age) / len(log_age)
@@ -226,7 +234,7 @@ def load_toenail(path) -> GlmmDesign:
 
     Expects columns id, y, trt, time (months).
     """
-    header, rows = _read_csv_rows(path)
+    header, rows, _ = _read_csv_rows(path)
     col = {h: i for i, h in enumerate(header)}
     times = np.asarray([float(r[col["time"]]) for r in rows])
     t_std = (times - times.mean()) / times.std(ddof=0)
@@ -254,7 +262,7 @@ def load_polypharmacy(path) -> GlmmDesign:
     Covariates: Gender, Race, log(age/10), MHV1 (1-5 visits), MHV2 (6-14),
     MHV3 (>= 15), INPTMHV.
     """
-    header, rows = _read_csv_rows(path)
+    header, rows, _ = _read_csv_rows(path)
     col = {h: i for i, h in enumerate(header)}
     xb, zb, yb = [], [], []
     for grp in _group_rows(rows, col["id"]):

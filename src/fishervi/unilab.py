@@ -37,8 +37,8 @@ class StudentT:
     kind = "student_t"
 
     def __init__(self, nu: float):
-        if nu <= 0:
-            raise ValueError("degrees of freedom must be positive")
+        if not 0 < nu < math.inf:
+            raise ValueError(f"degrees of freedom must be positive and finite, got {nu}")
         self.nu = float(nu)
         self._log_const = (gammaln((nu + 1) / 2) - gammaln(nu / 2)
                            - 0.5 * math.log(nu * math.pi))
@@ -79,8 +79,8 @@ class LogInvGamma:
     kind = "log_inv_gamma"
 
     def __init__(self, a1: float, b1: float):
-        if a1 <= 0.5 or b1 <= 0:
-            raise ValueError("need a1 > 1/2 and b1 > 0")
+        if not (0.5 < a1 < math.inf and 0 < b1 < math.inf):
+            raise ValueError(f"need finite a1 > 1/2 and b1 > 0, got a1={a1}, b1={b1}")
         self.a1 = float(a1)
         self.b1 = float(b1)
         self._log_const = a1 * math.log(b1) - gammaln(a1)
@@ -113,8 +113,8 @@ class SkewNormal:
     kind = "skew_normal"
 
     def __init__(self, m: float, t: float, lam: float):
-        if t <= 0:
-            raise ValueError("scale must be positive")
+        if not (0 < t < math.inf and math.isfinite(m) and math.isfinite(lam)):
+            raise ValueError(f"need finite m, lam and t > 0, got m={m}, t={t}, lam={lam}")
         self.m = float(m)
         self.t = float(t)
         self.lam = float(lam)

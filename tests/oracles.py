@@ -3,13 +3,16 @@
 Each oracle takes a longer or independent route to a value the package
 computes another way: the trace and per-sample forms of the FDb / SDb batch
 objective, the proximal objective, the batch statistics' distance from their
-infinite-batch limits, the stationarity of the Student-t mean and the
-closed-form log-inverse-gamma Fisher divergence.
+infinite-batch limits, the stationarity of the Student-t mean, the
+closed-form log-inverse-gamma Fisher divergence and the two-pass CSV design
+loader.
 """
+import csv
 import math
 
 import numpy as np
 
+from fishervi.datasets import DesignInfo, LoadedDesign
 from fishervi.optimizers import BatchStats, compute_batch_stats
 from fishervi.unilab import DIVERGENCES, StudentT, _objective_and_grad
 
@@ -160,3 +163,66 @@ def stationarity_check_t(nu: float, d: int = 1, scale=None, sigma_sq: float = 1.
     out["SD"] = (sd_samples.mean(axis=0),
                  sd_samples.std(axis=0, ddof=1) / math.sqrt(n_samples))
     return out
+
+
+# ---------------------------------------------------------------------------
+# CSV design matrix, converting each cell in a separate pass per use
+
+
+def _csv_rows_reference(path):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return [h.strip() for h in header], rows
+
+
+def _is_numeric(values):
+    try:
+        for v in values:
+            float(v)
+        return True
+    except ValueError:
+        return False
+
+
+def csv_design_reference(path, response: str, intercept: bool = True) -> LoadedDesign:
+    """Design matrix from a header CSV: strip every cell, test each column
+    with `float`, then convert a numeric column again."""
+    header, rows = _csv_rows_reference(path)
+    if response not in header:
+        raise ValueError(f"response column {response!r} not in header {header}")
+    cols = {h: [row[i].strip() for row in rows] for i, h in enumerate(header)}
+    y = np.asarray([float(v) for v in cols[response]])
+
+    names = []
+    blocks = []
+    numeric_stats = {}
+    categorical_levels = {}
+    if intercept:
+        names.append("intercept")
+        blocks.append(np.ones((len(rows), 1)))
+    for h in header:
+        if h == response:
+            continue
+        vals = cols[h]
+        if _is_numeric(vals):
+            x = np.asarray([float(v) for v in vals])
+            sd = float(x.std(ddof=0))
+            if sd == 0.0:
+                raise ValueError(f"column {h!r} is constant (zero sd); drop it first")
+            mean = float(x.mean())
+            numeric_stats[h] = (mean, sd)
+            names.append(h)
+            blocks.append(((x - mean) / sd)[:, None])
+        else:
+            levels = sorted(set(vals))
+            categorical_levels[h] = levels
+            for lev in levels[1:]:
+                names.append(f"{h}={lev}")
+                blocks.append((np.asarray(vals, dtype=object) == lev).astype(float)[:, None])
+    x_mat = np.hstack(blocks)
+    return LoadedDesign(x_mat, y, DesignInfo(names, numeric_stats,
+                                             categorical_levels, intercept))

@@ -181,6 +181,44 @@ class TestFitCommand:
         assert main(["sweep", str(cfg), "--workers", "2"]) == 0
         assert (tmp_path / "out" / "fitresult.json").exists()
 
+    @staticmethod
+    def logistic_config(tmp_path, name, rng, tail=""):
+        x = rng.standard_normal((40, 2))
+        y = (x[:, 0] + rng.standard_normal(40) > 0).astype(int)
+        with open(tmp_path / f"{name}.csv", "w") as fh:
+            fh.write("a,b,y\n" + "".join(f"{a!r},{b!r},{v}\n"
+                                         for (a, b), v in zip(x.tolist(), y)) + tail)
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"model.kind = logistic\nmodel.data_csv = {name}.csv\n"
+                       "divergence = SDr\noptimizer.max_iter = 100\noptimizer.window = 50\n"
+                       f"output_dir = {tmp_path / (name + '_out')}\n")
+        return cfg
+
+    @pytest.mark.parametrize("tail, message", [
+        ("0.5,1\n", "line 42 has 2 fields, the header has 3"),
+        ("0.5,nan,1\n", "column 'b' has the non-finite value 'nan' at line 42"),
+    ])
+    def test_bad_csv_is_reported_by_fit(self, tmp_path, rng, capsys, tail, message):
+        cfg = self.logistic_config(tmp_path, "bad", rng, tail)
+        assert main(["fit", "--config", str(cfg), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'bad.csv'}: {message}\n"
+        assert not (tmp_path / "bad_out").exists()
+
+    def test_sweep_reports_ragged_config_and_runs_the_rest(self, tmp_path, rng, capsys):
+        paths = [self.logistic_config(tmp_path, "ok1", rng),
+                 self.logistic_config(tmp_path, "bad", rng, "0.5,1\n"),
+                 self.logistic_config(tmp_path, "ok2", rng)]
+        assert main(["sweep", *map(str, paths)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {paths[1]}: {tmp_path / 'bad.csv'}: "
+                                "line 42 has 2 fields, the header has 3\n")
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [str(paths[0]), str(paths[2])]
+        for name in ("ok1", "ok2"):
+            assert (tmp_path / f"{name}_out" / "fitresult.json").exists()
+        assert not (tmp_path / "bad_out").exists()
+
     def test_compare_replicates_below_two_rejected(self, gaussian_setup, tmp_path, capsys):
         cfg, nu, _ = gaussian_setup
         np.savetxt(tmp_path / "ref.csv", np.zeros((1000, nu.size)), delimiter=",",
@@ -272,6 +310,28 @@ class TestAnalysisCommands:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {target} takes parameters {named}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target, params", [
+        ("student_t", ["nu=nan"]),
+        ("student_t", ["nu=inf"]),
+        ("student_t", ["nu=-inf"]),
+        ("log_inv_gamma", ["a1=nan", "b1=20"]),
+        ("log_inv_gamma", ["a1=3", "b1=inf"]),
+        ("skew_normal", ["m=nan", "t=1", "lam=2"]),
+        ("skew_normal", ["m=0", "t=inf", "lam=2"]),
+        ("skew_normal", ["m=0", "t=1", "lam=-inf"]),
+    ])
+    def test_unilab_non_finite_params_rejected(self, target, params, tmp_path, capsys):
+        # rejected when the target is built: an error line and status 1, not a
+        # RuntimeError from eight failed starts
+        out = tmp_path / "uni"
+        argv = ["unilab", "--target", target, "--out", str(out)]
+        for kv in params:
+            argv += ["--param", kv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("item", ["nu", "nu=", "nu=abc", "=3"])

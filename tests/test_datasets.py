@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fishervi.datasets import (
     load_csv_design,
@@ -11,6 +14,7 @@ from fishervi.datasets import (
     load_returns,
     load_toenail,
 )
+from oracles import csv_design_reference
 
 
 def write(path, text):
@@ -64,6 +68,80 @@ class TestCsvDesign:
         d2 = load_csv_design(p, response="y")
         np.testing.assert_array_equal(d1.X, d2.X)
         np.testing.assert_array_equal(d1.y, d2.y)
+
+    @pytest.mark.parametrize("row, width", [("1,2.0", 2), ("1,2.0,a,9", 4)])
+    def test_ragged_row_names_path_line_and_widths(self, tmp_path, row, width):
+        # a short row used to escape as IndexError; a long one lost its extra cells
+        p = write(tmp_path / "r.csv", f"y,x,c\n1,0.5,a\n\n{row}\n0,1.5,b\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv_design(p, response="y")
+        assert str(exc.value) == f"{p}: line 4 has {width} fields, the header has 3"
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", " Infinity ", "1e999"])
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_non_finite_cell_names_column_and_line(self, tmp_path, cell, column):
+        rows = [["1", "0.5"], ["0", "1.5"], ["1", "2.5"]]
+        rows[1][column == "x"] = f'"{cell}"'
+        p = write(tmp_path / "n.csv", "y,x\n" + "".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(ValueError) as exc:
+            load_csv_design(p, response="y")
+        assert str(exc.value) == (f"{p}: column {column!r} has the non-finite value "
+                                  f"{cell.strip()!r} at line 3")
+
+    def test_empty_file_has_no_data_rows(self, tmp_path):
+        p = write(tmp_path / "e.csv", "")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_csv_design(p, response="y")
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_two_pass_reference(self, tmp_path_factory, data):
+        # finite numbers in the spellings `float` accepts, and labels that
+        # look numeric, are padded, quoted or empty
+        n = data.draw(st.integers(2, 6), label="rows")
+        number = st.one_of(
+            st.floats(-1e12, 1e12).map(repr),
+            st.floats(-1e12, 1e12).map(lambda v: f"{v:.3E}"),
+            st.integers(-10 ** 7, 10 ** 7).map(lambda v: f"{v:_}"),
+            st.sampled_from(["-0.0", "+1.5", ".5", "7.", "1e-3", "2E+2"]),
+        )
+        label = st.sampled_from(["a", " a", "b ", "1", " 2.5 ", "1e3", "", "x y", "a,b", 'q"t'])
+
+        def cell(strategy):
+            text = data.draw(strategy)
+            pad = data.draw(st.sampled_from(["{}", " {}", "{} ", "\t{} "]))
+            text = pad.format(text)
+            if "," in text or '"' in text or data.draw(st.booleans()):
+                text = '"' + text.replace('"', '""') + '"'
+            return text
+
+        kinds = data.draw(st.lists(st.sampled_from(["num", "cat"]), min_size=1, max_size=4),
+                          label="columns")
+        y_at = data.draw(st.integers(0, len(kinds)), label="response position")
+        names = [f"c{j}" for j in range(len(kinds))]
+        names.insert(y_at, "y")
+        kinds.insert(y_at, "num")
+        body = [",".join(cell(number if kind == "num" else label) for kind in kinds)
+                for _ in range(n)]
+        text = ",".join(names) + "\n" + "\n".join(body) + "\n"
+        p = tmp_path_factory.mktemp("csv") / "d.csv"
+        p.write_text(text)
+        intercept = data.draw(st.booleans(), label="intercept")
+        try:
+            want = csv_design_reference(p, "y", intercept)
+        except (ValueError, RuntimeWarning) as exc:  # e.g. a constant column
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                load_csv_design(p, "y", intercept)
+            return
+        got = load_csv_design(p, "y", intercept)
+        assert got.X.shape == want.X.shape and got.X.tobytes() == want.X.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.info == want.info
+
+    def test_glmm_recipes_reject_ragged_rows(self, tmp_path):
+        p = write(tmp_path / "toe.csv", "id,y,trt,time\n1,0,1,0\n1,1,1\n")
+        with pytest.raises(ValueError, match="line 3 has 3 fields, the header has 4"):
+            load_toenail(p)
 
 
 class TestLibsvm:
