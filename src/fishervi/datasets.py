@@ -61,11 +61,14 @@ def load_csv_design(path, response: str, intercept: bool = True) -> LoadedDesign
     converts is standardized; any other is stripped and dummy-encoded with
     the lexicographically first level as reference.  Column order:
     intercept, then input column order with each categorical expanded
-    level-by-level.  Rejected with ValueError: ragged rows, non-finite
-    numeric cells (nan, inf, or an overflow such as 1e999) and constant
-    numeric columns.
+    level-by-level.  Rejected with ValueError: a repeated header name,
+    ragged rows, non-finite numeric cells (nan, inf, or an overflow such as
+    1e999) and constant numeric columns.
     """
     header, rows, lines = _read_csv_rows(path)
+    if len(set(header)) < len(header):
+        name = next(h for i, h in enumerate(header) if h in header[:i])
+        raise ValueError(f"{path}: column {name!r} is repeated in the header")
     if response not in header:
         raise ValueError(f"response column {response!r} not in header {header}")
     cols = dict(zip(header, zip(*rows)))

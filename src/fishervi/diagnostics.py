@@ -45,11 +45,14 @@ def load_reference_csv(path) -> ReferenceSamples:
     return ReferenceSamples(np.asarray(rows), provenance=str(path), columns=header)
 
 
+def _sq_dists(x, y):
+    """||x_i - y_j||^2 for rows of x against rows of y; may dip below 0 by rounding."""
+    return np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :] - 2.0 * x @ y.T
+
+
 def rbf_kernel(x, y, bandwidth):
     """exp(-||x - y||^2 / (2 h^2)) for rows of x against rows of y."""
-    sq = (np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :]
-          - 2.0 * x @ y.T)
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth ** 2))
+    return np.exp(-np.maximum(_sq_dists(x, y), 0.0) / (2.0 * bandwidth ** 2))
 
 
 def mmd_sq_u(x_v, x_g, bandwidth) -> float:
@@ -85,10 +88,8 @@ def mmd_mstar(x_v, x_g, bandwidth) -> float:
 def median_heuristic_bandwidth(pooled) -> float:
     """Median pairwise Euclidean distance of the pooled samples."""
     pooled = np.asarray(pooled, dtype=float)
-    sq = (np.sum(pooled ** 2, axis=1)[:, None] + np.sum(pooled ** 2, axis=1)[None, :]
-          - 2.0 * pooled @ pooled.T)
     iu = np.triu_indices(pooled.shape[0], k=1)
-    return float(np.sqrt(np.maximum(np.median(sq[iu]), 1e-300)))
+    return float(np.sqrt(np.maximum(np.median(_sq_dists(pooled, pooled)[iu]), 1e-300)))
 
 
 def marginal_stats(ref: ReferenceSamples):

@@ -14,9 +14,10 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.optimize import nnls
 
 KKT_TOL = 1e-8
-NQP_MAX_SWEEPS = 100_000
 
 
 def _as_spd(mat, name):
@@ -108,31 +109,16 @@ def nqp_h_matrix(lamb) -> np.ndarray:
 
 
 def solve_nqp(h) -> np.ndarray:
-    """Minimize 1/2 s^t H s - 1^t s subject to s >= 0.
+    """Minimize 1/2 s^t H s - 1^t s subject to s >= 0, for SPD H.
 
-    Cyclic coordinate descent with non-negativity clipping; each coordinate
-    update is the exact 1-d minimizer, so the objective is monotone and the
-    iteration converges for SPD H.  Stops when the KKT residual
-    max_i { |(Hs)_i - 1| if s_i > 0 else max(0, 1 - (Hs)_i) } drops below KKT_TOL
-    within NQP_MAX_SWEEPS sweeps.
+    With H = L L^t the objective is 1/2 ||L^t s - L^{-1} 1||^2 up to a
+    constant, so the minimizer is scipy's nnls(L^t, L^{-1} 1): the exact
+    active-set solve of Lawson & Hanson (1974).  Coordinates on the bound
+    come back as exact zeros.
     """
-    h = np.asarray(h, dtype=float)
-    d = h.shape[0]
-    s = np.ones(d)  # the uncoupled solution; exact for diagonal H
-    hs = h @ s
-    diag = np.diag(h)
-    for _ in range(NQP_MAX_SWEEPS):
-        for i in range(d):
-            si_new = max(0.0, s[i] - (hs[i] - 1.0) / diag[i])
-            delta = si_new - s[i]
-            if delta != 0.0:
-                hs += delta * h[:, i]
-                s[i] = si_new
-        resid = np.where(s > 0, np.abs(hs - 1.0), np.maximum(0.0, 1.0 - hs))
-        if resid.max() < KKT_TOL:
-            return s
-    raise RuntimeError(f"NQP solver did not reach KKT residual {KKT_TOL} "
-                       f"in {NQP_MAX_SWEEPS} sweeps")
+    chol = np.linalg.cholesky(np.asarray(h, dtype=float))
+    rhs = solve_triangular(chol, np.ones(chol.shape[0]), lower=True)
+    return nnls(chol.T, rhs)[0]
 
 
 def meanfield_sd_nqp(lamb) -> MeanFieldSolution:
@@ -145,16 +131,7 @@ def meanfield_sd_nqp(lamb) -> MeanFieldSolution:
     lamb = _as_spd(lamb, "Lambda")
     h = nqp_h_matrix(lamb)
     s = solve_nqp(h)
-    # coordinate descent lands active coordinates at exactly 0.0; the 1e-12
-    # fallback only absorbs borderline iterates
-    cases = []
-    for i in range(lamb.shape[0]):
-        if s[i] <= 1e-12:
-            s[i] = 0.0
-            cases.append("active")
-        else:
-            cases.append("inactive")
-    # re-verify KKT after clipping tiny actives
+    cases = ["active" if si == 0.0 else "inactive" for si in s]
     hs = h @ s
     for i, case in enumerate(cases):
         ok = (hs[i] > 1.0 - KKT_TOL) if case == "active" else (abs(hs[i] - 1.0) <= 10 * KKT_TOL)

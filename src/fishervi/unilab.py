@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, optimize, stats
-from scipy.special import gammaln, polygamma, psi, roots_hermite
+from scipy.special import gammaln, lambertw, polygamma, psi, roots_hermite
 
 DIVERGENCES = ("KLD", "FD", "SD")
 SIGMA_SQ_FLOOR = 1e-12
@@ -356,8 +356,8 @@ def accuracy(mu, sigma_sq, target, window=None) -> float:
 def lambert_w0(x: float) -> float:
     """Principal branch W0: the w >= -1 with w e^w = x, for x >= -1/e.
 
-    Halley iteration from a branch-adjusted initial guess; stops when the
-    residual |w e^w - x| drops below 1e-13 max(1, |x|), within 100 steps.
+    scipy.special.lambertw (Corless et al. 1996), real part; the branch
+    point -1/e itself, where scipy returns nan, gives -1.
     """
     x = float(x)
     inv_e = -math.exp(-1.0)
@@ -365,27 +365,7 @@ def lambert_w0(x: float) -> float:
         raise ValueError(f"lambert_w0 defined only for x >= -1/e, got {x}")
     if x <= inv_e:
         return -1.0
-    if x == 0.0:
-        return 0.0
-    if x < -0.25:
-        # near the branch point: series in sqrt(2(1 + e x))
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p ** 2 / 3.0 + 11.0 * p ** 3 / 72.0
-    elif x > math.e:
-        lx = math.log(x)
-        w = lx - math.log(lx)
-    else:
-        w = math.log1p(x)
-    scale = max(1.0, abs(x))
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) < 1e-13 * scale:
-            return w
-        # Halley step for f(w) = w e^w - x
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0))
-        w -= f / denom
-    raise RuntimeError(f"lambert_w0 failed to reach residual 1e-13 for x={x}")
+    return float(lambertw(x).real)
 
 
 @dataclass

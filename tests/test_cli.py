@@ -167,11 +167,13 @@ class TestFitCommand:
         assert not out.exists()
 
     def test_sweep_config_keys_accepted(self, tmp_path, rng):
-        # the keys of the benchmark's logistic sweep configs
+        # the keys of the benchmark's logistic sweep configs, on a numeric
+        # design: cells written from Python floats, not numpy scalar reprs
         x = rng.standard_normal((40, 2))
         y = (x[:, 0] + rng.standard_normal(40) > 0).astype(int)
         with open(tmp_path / "data.csv", "w") as fh:
-            fh.write("a,b,y\n" + "".join(f"{a!r},{b!r},{v}\n" for (a, b), v in zip(x, y)))
+            fh.write("a,b,y\n" + "".join(f"{a!r},{b!r},{v}\n"
+                                         for (a, b), v in zip(x.tolist(), y)))
         cfg = tmp_path / "logit.cfg"
         cfg.write_text("model.kind = logistic\nmodel.data_csv = data.csv\n"
                        "model.response = y\nmodel.sigma0_sq = 100.0\ndivergence = SDr\n"
@@ -179,7 +181,8 @@ class TestFitCommand:
                        "optimizer.adadelta_eps = 1e-07\nseed = 3\n"
                        f"output_dir = {tmp_path / 'out'}\n")
         assert main(["sweep", str(cfg), "--workers", "2"]) == 0
-        assert (tmp_path / "out" / "fitresult.json").exists()
+        doc = json.loads((tmp_path / "out" / "fitresult.json").read_text())
+        assert len(doc["mu"]) == 3  # intercept, a, b
 
     @staticmethod
     def logistic_config(tmp_path, name, rng, tail=""):

@@ -77,6 +77,18 @@ class TestCsvDesign:
             load_csv_design(p, response="y")
         assert str(exc.value) == f"{p}: line 4 has {width} fields, the header has 3"
 
+    @pytest.mark.parametrize("header, name", [("y,x,x", "x"), ("y,x,y", "y"),
+                                              ("y, x,z,x ", "x")])
+    def test_repeated_header_name_is_named(self, tmp_path, header, name):
+        # the column dict kept only the last copy, so `y,x,x` gave two
+        # identical columns and a rank-deficient X
+        width = header.count(",") + 1
+        rows = "".join(",".join(str(i + j) for j in range(width)) + "\n" for i in range(2))
+        p = write(tmp_path / "d.csv", f"{header}\n{rows}")
+        with pytest.raises(ValueError) as exc:
+            load_csv_design(p, response="y")
+        assert str(exc.value) == f"{p}: column {name!r} is repeated in the header"
+
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", " Infinity ", "1e999"])
     @pytest.mark.parametrize("column", ["x", "y"])
     def test_non_finite_cell_names_column_and_line(self, tmp_path, cell, column):

@@ -21,9 +21,11 @@ def test_oracles_are_not_part_of_the_package():
 
 def test_second_code_paths_are_gone():
     # solves compute through (step judges finiteness, compare checks its factor
-    # once), and uni_objective evaluates through uni_fit's quadrature
+    # once), uni_objective evaluates through uni_fit's quadrature, and the
+    # mean-field SD optimum is one exact nnls solve, not a capped sweep loop
     gone = [(fishervi, "SingularFactorError"), (linalg, "SingularFactorError"),
             (linalg.CholFactor, "_check_diag"), (unilab, "gauss_hermite_expectation"),
-            (unilab, "_expect"), (unilab, "_objective_and_grad_inner")]
+            (unilab, "_expect"), (unilab, "_objective_and_grad_inner"),
+            (meanfield, "NQP_MAX_SWEEPS")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []
     assert "SingularFactorError" not in fishervi.__all__

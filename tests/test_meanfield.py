@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from conftest import random_spd
@@ -23,6 +25,17 @@ from fishervi.meanfield import (
     weighted_fd_gaussians,
 )
 from oracles import batch_stats_limit_check
+
+# positive-definite points of the default region-sweep grid (step 0.02) at
+# which coordinate 0 of coupled_precision_3d(a, b, c) collapses
+_COLLAPSING_3D = [
+    (float(a), float(b), c)
+    for c in (0.3, 0.5, 0.7)
+    for a in np.round(np.arange(-1.0, 1.01, 0.02), 2)
+    for b in np.round(np.arange(-1.0, 1.01, 0.02), 2)
+    if a * a + b * b > 1.0 + c * c + 1e-9
+    and 1.0 - a * a - b * b - c * c + 2.0 * a * b * c > 1e-9
+]
 
 
 class TestWeightedDivergence:
@@ -144,11 +157,39 @@ class TestMeanFieldSolvers:
         best = pts[f.argmin()]
         np.testing.assert_allclose(s, best, atol=2e-3)
 
-    def test_nqp_solver_contract(self, rng):
-        h = nqp_h_matrix(random_spd(rng, 5))
+    @settings(max_examples=150)
+    @given(d=st.integers(2, 30), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_nqp_solver_contract(self, d, data, seed):
+        # Lambda = A A^t + jitter I with A of rank k: low rank and small jitter
+        # give H entries near 1, where coordinates collapse
+        k = data.draw(st.integers(1, d))
+        jitter = data.draw(st.floats(1e-4, 10.0))
+        a = np.random.default_rng(seed).standard_normal((d, k))
+        h = nqp_h_matrix(a @ a.T + jitter * np.eye(d))
         s = solve_nqp(h)
+        hs = h @ s
+        assert np.all(s >= 0.0)
+        assert np.all(s[hs > 1.0 + 1e-12] == 0.0)  # exact zeros where the bound binds
+        resid = np.where(s > 0, np.abs(hs - 1.0), np.maximum(0.0, 1.0 - hs))
+        assert resid.max() <= 1e-12
+
+    @settings(max_examples=100)
+    @given(point=st.sampled_from(_COLLAPSING_3D), perm=st.permutations(range(3)))
+    def test_nqp_collapse_closed_form(self, point, perm):
+        # with unit diagonal, coordinate 0 collapses iff a^2 + b^2 > 1 + c^2;
+        # then s = (0, t, t), t = 1 / (1 + c^2), meets KKT and is the unique optimum
+        a, b, c = point
+        order = list(perm)
+        lamb = coupled_precision_3d(a, b, c)[np.ix_(order, order)]
+        h = nqp_h_matrix(lamb)
+        s = solve_nqp(h)
+        expect = np.array([0.0, 1.0, 1.0])[order] / (1.0 + c * c)
+        assert s[order.index(0)] == 0.0
+        np.testing.assert_allclose(s, expect, rtol=0, atol=1e-14)
         resid = np.where(s > 0, np.abs(h @ s - 1.0), np.maximum(0.0, 1.0 - h @ s))
-        assert resid.max() < 1e-8
+        assert resid.max() <= 1e-12
+        cases = meanfield_sd_nqp(lamb).kkt_cases
+        assert cases == ["active" if i == 0 else "inactive" for i in order]
 
 
 class TestVarianceOrdering:
