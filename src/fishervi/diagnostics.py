@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from .linalg import SINGULAR_TOL
 
@@ -95,6 +94,7 @@ def median_heuristic_bandwidth(pooled) -> float:
 def marginal_stats(ref: ReferenceSamples):
     """(mean, mode, sd) per coordinate; the mode is the argmax of a 1-d KDE
     (Silverman bandwidth) on a 512-point grid spanning +-4 sd."""
+    from scipy.stats import gaussian_kde
     x = ref.samples
     mu = x.mean(axis=0)
     sd = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1])

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import nnls
 
 KKT_TOL = 1e-8
 
@@ -90,15 +89,19 @@ def meanfield_weighted(lamb, m_diag) -> MeanFieldSolution:
         raise ValueError("M diagonal has wrong length")
     if np.any(m_diag <= 0):
         raise ValueError("M diagonal must be strictly positive")
+    return _meanfield_weighted(lamb, m_diag, "M-weighted")
+
+
+def _meanfield_weighted(lamb, m_diag, divergence) -> MeanFieldSolution:
+    # core of meanfield_weighted / meanfield_fd: lamb and m_diag already checked
     denom = (lamb ** 2) @ m_diag
     sol = np.sqrt(m_diag / denom)
-    return MeanFieldSolution("M-weighted", sol, kkt_cases=["n/a"] * lamb.shape[0])
+    return MeanFieldSolution(divergence, sol, kkt_cases=["n/a"] * lamb.shape[0])
 
 
 def meanfield_fd(lamb) -> MeanFieldSolution:
-    sol = meanfield_weighted(lamb, np.ones(np.asarray(lamb).shape[0]))
-    sol.divergence = "FD"
-    return sol
+    lamb = _as_spd(lamb, "Lambda")
+    return _meanfield_weighted(lamb, np.ones(lamb.shape[0]), "FD")
 
 
 def nqp_h_matrix(lamb) -> np.ndarray:
@@ -116,6 +119,7 @@ def solve_nqp(h) -> np.ndarray:
     active-set solve of Lawson & Hanson (1974).  Coordinates on the bound
     come back as exact zeros.
     """
+    from scipy.optimize import nnls
     chol = np.linalg.cholesky(np.asarray(h, dtype=float))
     rhs = solve_triangular(chol, np.ones(chol.shape[0]), lower=True)
     return nnls(chol.T, rhs)[0]
@@ -128,7 +132,11 @@ def meanfield_sd_nqp(lamb) -> MeanFieldSolution:
     either s_i = 0 with (Hs)_i > 1 (variational collapse) or s_i > 0 with
     (Hs)_i = 1.
     """
-    lamb = _as_spd(lamb, "Lambda")
+    return _meanfield_sd_nqp(_as_spd(lamb, "Lambda"))
+
+
+def _meanfield_sd_nqp(lamb) -> MeanFieldSolution:
+    # core of meanfield_sd_nqp: lamb already checked symmetric positive definite
     h = nqp_h_matrix(lamb)
     s = solve_nqp(h)
     cases = ["active" if si == 0.0 else "inactive" for si in s]
@@ -205,8 +213,10 @@ def sd_fd_region_sweep(c_values=(0.3, 0.5, 0.7), step: float = 0.02, path=None):
                 except np.linalg.LinAlgError:
                     rows.append((a, b, c, "indefinite"))
                     continue
-                fd = meanfield_fd(lamb).sigma_diag
-                sd = meanfield_sd_nqp(lamb).sigma_diag
+                # symmetric by construction and positive definite by the
+                # Cholesky above: the cores skip the public functions' checks
+                fd = _meanfield_weighted(lamb, np.ones(3), "FD").sigma_diag
+                sd = _meanfield_sd_nqp(lamb).sigma_diag
                 n_le = int(np.sum(sd <= fd + 1e-10))
                 case = {3: "all", 2: "two", 1: "one", 0: "none"}[n_le]
                 rows.append((float(a), float(b), float(c), case))

@@ -353,7 +353,9 @@ def fit(model, config: FitConfig) -> FitResult:
     of the most recent five stops the run.  A step that raises
     FloatingPointError, the base of every numerical failure, is rejected: the
     state stays and the window counts the last accepted lower bound (0 before
-    any).  More than MAX_CONSECUTIVE_REJECTS in a row raise FitAbortedError.
+    any).  More than MAX_CONSECUTIVE_REJECTS in a row raise FitAbortedError,
+    whose message names the cause of the last rejection and whose __cause__
+    is that FloatingPointError.
     """
     rng = np.random.default_rng(config.seed)
     pattern = config.pattern if config.pattern is not None else model.sparsity_hint()
@@ -379,7 +381,7 @@ def fit(model, config: FitConfig) -> FitResult:
             state, lb = step(state, model, config.divergence, batch, rng)
             last_lb = lb
             consecutive_rejects = 0
-        except FloatingPointError:
+        except FloatingPointError as exc:
             rejected += 1
             consecutive_rejects += 1
             state = VariationalState(state.mu, state.factor, state.adadelta,
@@ -389,7 +391,7 @@ def fit(model, config: FitConfig) -> FitResult:
                 last = "no step succeeded" if last_lb is None else f"last lower bound {lb:.6g}"
                 raise FitAbortedError(
                     f"{consecutive_rejects} consecutive rejected steps at iteration {it} "
-                    f"({config.divergence}); {last}")
+                    f"({config.divergence}); {last}; last rejection: {exc}") from exc
         window_sum += lb
         window_count += 1
         if window_count == config.window:

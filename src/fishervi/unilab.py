@@ -5,6 +5,10 @@ normal, approximated by N(mu, sigma^2) under the KL, Fisher and score
 divergences.  Divergence values are Gauss-Hermite expectations; the
 log-inverse-gamma case additionally has closed forms through the principal
 Lambert W branch, used to cross-check the numerical route.
+
+`fishervi` and its CLI import this module for `TARGETS`, so scipy.stats,
+scipy.optimize and scipy.integrate are imported in the functions that call
+them: a fit never loads them.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize, stats
 from scipy.special import gammaln, lambertw, polygamma, psi, roots_hermite
 
 DIVERGENCES = ("KLD", "FD", "SD")
@@ -120,12 +123,14 @@ class SkewNormal:
         self.lam = float(lam)
 
     def log_pdf(self, theta):
+        from scipy import stats
         u = self.lam * (theta - self.m)
         return (math.log(2.0) + stats.norm.logpdf(theta, self.m, self.t)
                 + stats.norm.logcdf(u))
 
     def _mills(self, u):
         # phi(u)/Phi(u), stable far into the left tail via log-space
+        from scipy import stats
         return np.exp(stats.norm.logpdf(u) - stats.norm.logcdf(u))
 
     def score(self, theta):
@@ -145,6 +150,7 @@ class SkewNormal:
     @property
     def mode(self):
         # no closed form; maximize the log density numerically
+        from scipy import optimize
         res = optimize.minimize_scalar(
             lambda th: -self.log_pdf(th),
             bounds=(self.m - 6 * self.t, self.m + 6 * self.t),
@@ -283,6 +289,7 @@ def uni_fit(target, divergence: str, with_metrics: bool = True,
             return 1e15, np.zeros(2)
         return val, np.array([d_mu, d_ls2])
 
+    from scipy import optimize
     best = None
     n_runaway = 0
     for x0 in starts:
@@ -345,6 +352,7 @@ def accuracy(mu, sigma_sq, target, window=None) -> float:
         q = math.exp(-0.5 * (th - mu) ** 2 / sigma_sq) / math.sqrt(2 * math.pi * sigma_sq)
         return abs(q - math.exp(target.log_pdf(th)))
 
+    from scipy import integrate
     iae, _ = integrate.quad(absdiff, lo, hi, limit=400)
     return 1.0 - iae / 2.0
 

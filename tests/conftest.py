@@ -58,6 +58,23 @@ def random_spd(rng, d, jitter=None):
     return m
 
 
+def logistic_sweep_config(tmp_path, rng, max_iter=200):
+    """A config with the keys of the benchmark's logistic SDr sweep configs, on
+    a 40-row numeric CSV (cells written from Python floats), in tmp_path."""
+    x = rng.standard_normal((40, 2))
+    y = (x[:, 0] + rng.standard_normal(40) > 0).astype(int)
+    with open(tmp_path / "data.csv", "w") as fh:
+        fh.write("a,b,y\n" + "".join(f"{a!r},{b!r},{v}\n"
+                                     for (a, b), v in zip(x.tolist(), y)))
+    cfg = tmp_path / "logit.cfg"
+    cfg.write_text("model.kind = logistic\nmodel.data_csv = data.csv\n"
+                   "model.response = y\nmodel.sigma0_sq = 100.0\ndivergence = SDr\n"
+                   f"optimizer.max_iter = {max_iter}\noptimizer.window = 50\n"
+                   "optimizer.adadelta_eps = 1e-07\nseed = 3\n"
+                   f"output_dir = {tmp_path / 'out'}\n")
+    return cfg
+
+
 @st.composite
 def block_patterns(draw):
     n_blocks = draw(st.integers(1, 6))

@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import logistic_sweep_config
 from fishervi.cli import (
     ConfigError,
     build_model,
@@ -169,17 +170,7 @@ class TestFitCommand:
     def test_sweep_config_keys_accepted(self, tmp_path, rng):
         # the keys of the benchmark's logistic sweep configs, on a numeric
         # design: cells written from Python floats, not numpy scalar reprs
-        x = rng.standard_normal((40, 2))
-        y = (x[:, 0] + rng.standard_normal(40) > 0).astype(int)
-        with open(tmp_path / "data.csv", "w") as fh:
-            fh.write("a,b,y\n" + "".join(f"{a!r},{b!r},{v}\n"
-                                         for (a, b), v in zip(x.tolist(), y)))
-        cfg = tmp_path / "logit.cfg"
-        cfg.write_text("model.kind = logistic\nmodel.data_csv = data.csv\n"
-                       "model.response = y\nmodel.sigma0_sq = 100.0\ndivergence = SDr\n"
-                       "optimizer.max_iter = 200\noptimizer.window = 50\n"
-                       "optimizer.adadelta_eps = 1e-07\nseed = 3\n"
-                       f"output_dir = {tmp_path / 'out'}\n")
+        cfg = logistic_sweep_config(tmp_path, rng)
         assert main(["sweep", str(cfg), "--workers", "2"]) == 0
         doc = json.loads((tmp_path / "out" / "fitresult.json").read_text())
         assert len(doc["mu"]) == 3  # intercept, a, b

@@ -1,5 +1,13 @@
-"""The package's public names, and the test oracles that live in tests/oracles.py."""
+"""The package's public names, what importing it loads, and the test oracles
+that live in tests/oracles.py."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import fishervi
+from conftest import logistic_sweep_config
 from fishervi import linalg, meanfield, optimizers, unilab
 
 
@@ -29,3 +37,30 @@ def test_second_code_paths_are_gone():
             (meanfield, "NQP_MAX_SWEEPS")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []
     assert "SingularFactorError" not in fishervi.__all__
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# a logistic SDr sweep through the CLI and an SV SDb fit, in a fresh process;
+# prints the analytics-only scipy subpackages they left in sys.modules
+FIT_PATH_SCRIPT = """
+import json, sys
+import numpy as np
+import fishervi, fishervi.cli
+assert fishervi.cli.main(["sweep", sys.argv[1]]) == 0
+model = fishervi.SvModel(np.random.default_rng(0).standard_normal(30))
+fishervi.fit(model, fishervi.FitConfig("SDb", seed=0, max_iter=20, window=10,
+                                       init_t_scale=3.0))
+print(json.dumps([m for m in ("scipy.stats", "scipy.optimize", "scipy.integrate")
+                  if m in sys.modules]))
+"""
+
+
+def test_fit_path_loads_no_analytics_scipy(tmp_path, rng):
+    # fits need numpy, scipy.linalg.lapack, scipy.special and scipy.sparse;
+    # compare, meanfield and unilab import the rest where they call it
+    cfg = logistic_sweep_config(tmp_path, rng, max_iter=100)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", FIT_PATH_SCRIPT, str(cfg)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

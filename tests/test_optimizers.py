@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -38,6 +39,12 @@ from fishervi.optimizers import (
 )
 from fishervi.targets import GaussianTarget, GlmmModel, LogisticModel, SvModel
 from oracles import bam_objective, batch_objective_direct, batch_objective_trace
+
+# the four causes for which `step` rejects a step, as FitAbortedError names
+# the last one
+STEP_CAUSES = ("non-finite lower bound", "non-finite gradient estimate",
+               "non-finite parameter update", "non-finite Adadelta state")
+LAST_REJECTION = "last rejection: (" + "|".join(STEP_CAUSES) + ")$"
 
 
 def random_state(rng, pattern, t_scale=1.0):
@@ -422,8 +429,10 @@ class TestFit:
         # none ever succeeds, and the fit aborts
         target = GaussianTarget(np.zeros(3), np.eye(3))
         cfg = FitConfig(divergence, seed=0, init_t_scale=1e-305)
-        with pytest.raises(FitAbortedError, match="no step succeeded"):
+        abort = "no step succeeded; last rejection: non-finite lower bound$"
+        with pytest.raises(FitAbortedError, match=abort) as info:
             fit(target, cfg)
+        assert isinstance(info.value.__cause__, FloatingPointError)
 
     @pytest.mark.parametrize("divergence", ["FDr", "SDr"])
     def test_infinite_score_aborts(self, divergence):
@@ -546,8 +555,9 @@ class TestFailureSemantics:
                         init_mu=np.array(init_mu), init_t_scale=init_t_scale)
         try:
             assert isinstance(fit(target, cfg), FitResult)
-        except FitAbortedError:
-            pass
+        except FitAbortedError as exc:
+            assert re.search(LAST_REJECTION, str(exc)), str(exc)
+            assert str(exc.__cause__) in STEP_CAUSES
 
     @pytest.mark.parametrize("divergence", ["KLD", "SDb"])
     def test_overflowing_theta_aborts(self, divergence):
@@ -556,7 +566,7 @@ class TestFailureSemantics:
         target = GaussianTarget(np.zeros(3), np.eye(3))
         cfg = FitConfig(divergence, seed=0, init_mu=np.full(3, 1.7976e308),
                         init_t_scale=1e-304)
-        with pytest.raises(FitAbortedError, match="no step succeeded"):
+        with pytest.raises(FitAbortedError, match="no step succeeded; " + LAST_REJECTION):
             fit(target, cfg)
 
 

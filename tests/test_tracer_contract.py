@@ -7,11 +7,14 @@ Tracer wraps fishervi only inside a `with` block.
 """
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
 import fishervi
+import fishervi.cli
+from conftest import logistic_sweep_config
 
 TRACING = Path(__file__).resolve().parents[1] / "fitbench" / "tracing.py"
 
@@ -20,6 +23,10 @@ TRACING = Path(__file__).resolve().parents[1] / "fitbench" / "tracing.py"
 SV_SDB_SPANS = {"linalg.solve", "linalg.matvec", "linalg.from_star", "targets.grad",
                 "targets.log_h", "optimizers.fit", "optimizers.gradient",
                 "optimizers.lower_bound", "optimizers.adadelta"}
+# ... and for its logit-sdr-sweep workload
+SWEEP_SPANS = {"cli.main", "cli.run", "cli.build_model", "datasets.load_csv_design",
+               "targets.hess", "targets.grad", "linalg.solve", "linalg.matvec",
+               "optimizers.gradient", "optimizers.fit"}
 
 
 def _load_tracing():
@@ -54,3 +61,17 @@ def test_sv_sdb_fit_records_every_predicted_span():
                                                init_t_scale=3.0))
     missing = SV_SDB_SPANS - {span[0] for span in tracer.spans}
     assert not missing, f"sv-sdb spans not recorded: {sorted(missing)}"
+
+
+def test_logistic_sdr_sweep_records_every_predicted_span(tmp_path, rng):
+    # a one-config `fishervi sweep` as the logit-sdr-sweep workload runs it;
+    # Algorithm 1 makes one Hessian-vector product per iteration
+    cfg = logistic_sweep_config(tmp_path, rng, max_iter=100)
+    tracer = _load_tracing().Tracer(fishervi)
+    with tracer:
+        assert fishervi.cli.main(["sweep", str(cfg)]) == 0
+    names = [span[0] for span in tracer.spans]
+    missing = SWEEP_SPANS - set(names)
+    assert not missing, f"logit-sdr-sweep spans not recorded: {sorted(missing)}"
+    doc = json.loads((tmp_path / "out" / "fitresult.json").read_text())
+    assert names.count("targets.hess") == doc["iterations"] == 100
