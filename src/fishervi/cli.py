@@ -262,8 +262,8 @@ def _cmd_meanfield(args) -> int:
                ([sol.divergence, i, s, sol.kkt_cases[i]]
                 for sol in (kl, fd, sd) for i, s in enumerate(sol.sigma_diag)))
     if args.region_sweep:
-        meanfield.sd_fd_region_sweep(step=args.region_step,
-                                    path=os.path.join(args.out, "sd_fd_regions.csv"))
+        _write_csv(os.path.join(args.out, "sd_fd_regions.csv"), ["a", "b", "c", "case"],
+                   meanfield.sd_fd_region_sweep(step=args.region_step))
     print(f"wrote {args.out}/meanfield.csv")
     return 0
 

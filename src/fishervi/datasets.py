@@ -53,6 +53,17 @@ def _read_csv_rows(path):
     return header, rows, lines
 
 
+def _finite_cell(path, line, text) -> float:
+    """float(text); a ValueError naming path, line and cell if it is not finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: line {line}: {text.strip()!r} is not a finite number")
+    return value
+
+
 def load_csv_design(path, response: str, intercept: bool = True) -> LoadedDesign:
     """Design matrix from a header CSV.
 
@@ -152,9 +163,12 @@ def load_returns(path):
     """Mean-corrected percentage log returns from a one-column rate series.
 
     y_t = 100 * (log(r_t / r_{t-1}) - mean of the log ratios); length n-1.
+    The rate is the last field of each line that is not blank or a `#`
+    comment; one that is not a finite number is rejected with its line.
     """
     with open(path) as fh:
-        rates = [float(line.strip().split(",")[-1]) for line in fh
+        rates = [_finite_cell(path, lineno, line.strip().split(",")[-1])
+                 for lineno, line in enumerate(fh, start=1)
                  if line.strip() and not line.lstrip().startswith("#")]
     rates = np.asarray(rates)
     if rates.size < 2:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import _finite_cell, _read_csv_rows
 from .linalg import SINGULAR_TOL
 
 MSTAR_OFFSET = 1e-5
@@ -36,12 +37,14 @@ class ReferenceSamples:
 
 
 def load_reference_csv(path) -> ReferenceSamples:
-    """CSV with a header row of variable names, one draw per line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    return ReferenceSamples(np.asarray(rows), provenance=str(path), columns=header)
+    """CSV with a header row of variable names, one draw per line.
+
+    A row that is not as wide as the header, or a cell that is not a finite
+    number, is rejected with ValueError naming the path and the line.
+    """
+    header, rows, lines = _read_csv_rows(path)
+    samples = [[_finite_cell(path, line, v) for v in row] for row, line in zip(rows, lines)]
+    return ReferenceSamples(np.asarray(samples), provenance=str(path), columns=header)
 
 
 def _sq_dists(x, y):

@@ -313,7 +313,8 @@ class DiagScaler:
     """Chain-rule scaler between vech(T) and vech(T*) gradients.
 
     grad_{T*} f = DiagScaler.apply(grad_T f): the entries at the diagonal
-    slots are multiplied by T_ii and the others are left as they are.
+    slots are multiplied by T_ii and the others are left as they are.  A
+    (nnz, K) grad is scaled column by column.
     """
 
     pattern: SparsityPattern
@@ -325,5 +326,5 @@ class DiagScaler:
 
     def apply(self, grad: np.ndarray) -> np.ndarray:
         out = np.array(grad, dtype=float)
-        out[self.pattern.diag_slots] *= self.diag
+        out[self.pattern.diag_slots] *= self.diag if out.ndim == 1 else self.diag[:, None]
         return out

@@ -10,7 +10,6 @@ natural-gradient convergence recursion.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,11 +195,11 @@ def coupled_precision_3d(a, b, c) -> np.ndarray:
     return np.array([[1.0, a, b], [a, 1.0, c], [b, c, 1.0]])
 
 
-def sd_fd_region_sweep(c_values=(0.3, 0.5, 0.7), step: float = 0.02, path=None):
+def sd_fd_region_sweep(c_values=(0.3, 0.5, 0.7), step: float = 0.02):
     """Classify the (a, b) plane by how many coordinates have Sigma^S <= Sigma^F.
 
     Returns rows (a, b, c, case) with case in {all, two, one, none, indefinite};
-    positive definiteness is gated by a Cholesky attempt.  Optionally writes CSV.
+    positive definiteness is gated by a Cholesky attempt.
     """
     grid = np.arange(-1.0, 1.0 + step / 2, step)
     rows = []
@@ -220,11 +219,6 @@ def sd_fd_region_sweep(c_values=(0.3, 0.5, 0.7), step: float = 0.02, path=None):
                 n_le = int(np.sum(sd <= fd + 1e-10))
                 case = {3: "all", 2: "two", 1: "one", 0: "none"}[n_le]
                 rows.append((float(a), float(b), float(c), case))
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["a", "b", "c", "case"])
-            writer.writerows(rows)
     return rows
 
 

@@ -71,7 +71,6 @@ class VariationalState:
     mu: np.ndarray
     factor: CholFactor
     adadelta: AdadeltaState
-    iteration: int = 0
 
     @classmethod
     def initial(cls, pattern: SparsityPattern, mu0=None, t_scale: float = 1.0,
@@ -132,8 +131,9 @@ def lower_bound(mu, factor, model, theta) -> float:
 def gradient_alg1(mu, factor, model, divergence, z):
     """Descent gradients (w.r.t. mu and vech(T*)) for one draw z ~ N(0, I).
 
-    Returns (desc_mu, desc_tstar, theta).  Only pattern slots of the
-    T-gradient outer products are formed.
+    Returns (desc_mu, desc_tstar, theta).  For z of shape (d, K), K draws,
+    each is returned per draw, in columns: (d, K), (nnz, K) and (d, K).
+    Only pattern slots of the T-gradient outer products are formed.
     """
     if divergence not in ALG1_DIVERGENCES:
         raise ValueError(f"divergence must be one of {ALG1_DIVERGENCES}")
@@ -141,7 +141,7 @@ def gradient_alg1(mu, factor, model, divergence, z):
     dscale = DiagScaler.from_factor(factor)
 
     u = factor.solve_upper_transpose(z)
-    theta = mu + u
+    theta = (mu if u.ndim == 1 else mu[:, None]) + u
     g = model.grad_log_h(theta) + factor.matvec(z)
 
     if divergence == "KLD":
@@ -216,7 +216,7 @@ def _advance(state: VariationalState, desc_mu, desc_t):
     if not (np.isfinite(ad_next.eg2).all() and np.isfinite(ad_next.edx2).all()):
         raise FloatingPointError("non-finite Adadelta state")
     factor_next = CholFactor.from_star(state.factor.pattern, star_next)
-    return VariationalState(mu_next, factor_next, ad_next, state.iteration + 1)
+    return VariationalState(mu_next, factor_next, ad_next)
 
 
 def step(state: VariationalState, model, divergence: str, batch: int, rng):
@@ -384,8 +384,6 @@ def fit(model, config: FitConfig) -> FitResult:
         except FloatingPointError as exc:
             rejected += 1
             consecutive_rejects += 1
-            state = VariationalState(state.mu, state.factor, state.adadelta,
-                                     state.iteration + 1)
             lb = 0.0 if last_lb is None else last_lb
             if consecutive_rejects > MAX_CONSECUTIVE_REJECTS:
                 last = "no step succeeded" if last_lb is None else f"last lower bound {lb:.6g}"
@@ -405,7 +403,7 @@ def fit(model, config: FitConfig) -> FitResult:
     if window_count > 0:  # partial tail window when max_iter is not a multiple
         lb_trace.append(window_sum / window_count)
 
-    return FitResult(state, config.divergence, lb_trace, state.iteration, config.seed,
+    return FitResult(state, config.divergence, lb_trace, it, config.seed,
                      stop_reason, rejected, config.echo())
 
 
@@ -524,11 +522,6 @@ def gradient_sd_experiment(lamb, nu, t_scale: float = 10.0, n_draws: int = 1000,
     zs = rng.standard_normal((n_draws, target.dim))
     out = {}
     for div in ALG1_DIVERGENCES:
-        g_mu = np.empty((n_draws, target.dim))
-        g_td = np.empty((n_draws, diag_slots.size))
-        for k in range(n_draws):
-            desc_mu, desc_t, _ = gradient_alg1(mu, factor, target, div, zs[k])
-            g_mu[k] = desc_mu
-            g_td[k] = desc_t[diag_slots]
-        out[div] = (g_mu.std(axis=0, ddof=1), g_td.std(axis=0, ddof=1))
+        desc_mu, desc_t, _ = gradient_alg1(mu, factor, target, div, zs.T)
+        out[div] = (desc_mu.std(axis=1, ddof=1), desc_t[diag_slots].std(axis=1, ddof=1))
     return out

@@ -5,9 +5,11 @@ log p(theta) + log p(y | theta) including all constants (they matter for
 lower-bound traces), its gradient, and the Hessian-vector product
 `hess_log_h(theta, v)` = H(theta) v, formed directly in O(data) without
 assembling H; H is confined to the model's conditional-independence
-pattern (`sparsity_hint`).  The score is batched: `grad_log_h` takes theta
-of shape (dim,) or (dim, B) and returns the same shape, column j being the
-score at theta[:, j]; `log_h` and `hess_log_h` take one theta.  Shapes are
+pattern (`sparsity_hint`).  `log_h` takes one theta of shape (dim,).  The
+score and the product are batched: `grad_log_h` takes theta of shape (dim,)
+or (dim, B), and `hess_log_h` takes theta and v of one such shape; each
+returns that shape, column j belonging to theta[:, j].  The GLMM and SV
+products are the derivative of their batched score along v.  Shapes are
 checked; finiteness is not: a non-finite theta, or one whose value
 overflows, gives a non-finite result, which the fit step rejects.
 Evaluation is pure; models are immutable after construction.
@@ -34,11 +36,11 @@ def softplus(x):
 class TargetModel(Protocol):
     """What the estimators use of a target.
 
-    `grad_log_h` accepts theta of shape (dim,) or (dim, B) and returns the
-    score with the same shape, column by column; `log_h` takes theta of
-    shape (dim,), and `hess_log_h(theta, v)` returns the Hessian-vector
-    product H(theta) v of shape (dim,) for theta and v of shape (dim,).  A
-    wrong shape raises ValueError; non-finite values are computed through,
+    `log_h` takes theta of shape (dim,).  `grad_log_h` accepts theta of
+    shape (dim,) or (dim, B) and returns the score with the same shape,
+    column by column, and `hess_log_h(theta, v)` takes theta and v of one
+    such shape and returns H(theta[:, j]) v[:, j] in column j.  A wrong
+    shape raises ValueError; non-finite values are computed through,
     not checked.  An optional `default_batch_size` attribute sets the
     FDb/SDb batch size when the fit config leaves it unset.
     """
@@ -54,13 +56,21 @@ class TargetModel(Protocol):
     def hess_log_h(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray: ...
 
 
-def _check_shape(x, dim, name="theta", batch=False):
-    """x as a float array of shape (dim,), or with batch=True also (dim, B)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,) and not (batch and x.ndim == 2 and x.shape[0] == dim):
+def _check_shape(theta, dim, batch=False):
+    """theta as a float array of shape (dim,), or with batch=True also (dim, B)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (dim,) and not (batch and theta.ndim == 2 and theta.shape[0] == dim):
         expected = f"({dim},) or ({dim}, B)" if batch else f"({dim},)"
-        raise ValueError(f"{name} has shape {x.shape}, expected {expected}")
-    return x
+        raise ValueError(f"theta has shape {theta.shape}, expected {expected}")
+    return theta
+
+
+def _check_pair(theta, v, dim):
+    """theta and v as float arrays of one shape, (dim,) or (dim, B)."""
+    theta, v = _check_shape(theta, dim, batch=True), np.asarray(v, dtype=float)
+    if v.shape != theta.shape:
+        raise ValueError(f"v has shape {v.shape}, expected {theta.shape}")
+    return theta, v
 
 
 def _columns(v, theta):
@@ -100,8 +110,8 @@ class GaussianTarget:
         return -self.lamb @ (theta - _columns(self.nu, theta))
 
     def hess_log_h(self, theta, v) -> np.ndarray:
-        _check_shape(theta, self.dim)
-        return -self.lamb @ _check_shape(v, self.dim, "v")
+        _, v = _check_pair(theta, v, self.dim)
+        return -self.lamb @ v
 
 
 class LogisticModel:
@@ -145,8 +155,7 @@ class LogisticModel:
         return self.X.T @ resid - theta / self.sigma0_sq
 
     def hess_log_h(self, theta, v) -> np.ndarray:
-        theta = _check_shape(theta, self.dim)
-        v = _check_shape(v, self.dim, "v")
+        theta, v = _check_pair(theta, v, self.dim)
         w = expit(self.X @ theta)
         return -(self.X.T @ (w * (1.0 - w) * (self.X @ v))) - v / self.sigma0_sq
 
@@ -289,27 +298,30 @@ class GlmmModel:
         return np.concatenate([g_b.reshape((-1,) + beta.shape[1:]), g_beta, g_zeta])
 
     def hess_log_h(self, theta, v) -> np.ndarray:
-        # the derivative of grad_log_h along v, term by term
-        b, beta, zeta = self.unpack(_check_shape(theta, self.dim))
-        vb, vbeta, vzeta = self.unpack(_check_shape(v, self.dim, "v"))
+        # the derivative of grad_log_h along v, term by term; d(dvec) is
+        # nonzero only on the diagonal, where dvec = exp(zeta)
+        theta, v = _check_pair(theta, v, self.dim)
+        b, beta, zeta = self.unpack(theta)
+        vb, vbeta, vzeta = self.unpack(v)
         w, dvec = self.w_matrix(zeta)
         dw = np.zeros_like(w)
         dw[self._wrows, self._wcols] = dvec * vzeta
+        wtb = np.einsum("rc...,ir...->ic...", w, b)
+        d_wtb = np.einsum("rc...,ir...->ic...", w, vb) + np.einsum("rc...,ir...->ic...", dw, b)
         eta = self._eta(b, beta)
         d_resid = -self._A2(eta) * self._eta(vb, vbeta)
-        # row i of d(b G) with G = W W^t: b_i^t (W dW^t + dW W^t) + vb_i^t G
-        wtb = b @ w
-        d_gb = wtb @ dw.T + (b @ dw) @ w.T + (vb @ w) @ w.T
-        h_b = self._subject_sums(self.Z * d_resid[:, None]) - d_gb
+        h_b = (self._subject_sums(np.einsum("ir,i...->ir...", self.Z, d_resid))
+               - np.einsum("rc...,ic...->ir...", dw, wtb)
+               - np.einsum("rc...,ic...->ir...", w, d_wtb))
         h_beta = self.X.T @ d_resid - vbeta / self.sigma_beta_sq
-        # zeta score: -dvec * vech(M) with M = sum_i b_i b_i^t W; on the
-        # diagonal dvec = exp(zeta) moves too
-        m = b.T @ wtb
-        d_m = (vb.T @ b + b.T @ vb) @ w + (b.T @ b) @ dw
-        h_zeta = -dvec * d_m[self._wrows, self._wcols] - vzeta / self.sigma_zeta_sq
+        w_tilde = np.einsum("ir...,ic...->rc...", b, wtb)
+        d_w_tilde = (np.einsum("ir...,ic...->rc...", vb, wtb)
+                     + np.einsum("ir...,ic...->rc...", b, d_wtb))
+        h_zeta = -dvec * d_w_tilde[self._wrows, self._wcols] - vzeta / self.sigma_zeta_sq
         diag = self._wdiag
-        h_zeta[diag] -= dvec[diag] * vzeta[diag] * m[self._wrows[diag], self._wcols[diag]]
-        return np.concatenate([h_b.ravel(), h_beta, h_zeta])
+        h_zeta[diag] -= (dvec[diag] * vzeta[diag]
+                         * w_tilde[self._wrows[diag], self._wcols[diag]])
+        return np.concatenate([h_b.reshape((-1,) + beta.shape[1:]), h_beta, h_zeta])
 
 
 class SvModel:
@@ -371,52 +383,32 @@ class SvModel:
         return np.concatenate([g_b, np.stack([g_alpha, g_lam, g_psi])])
 
     def hess_log_h(self, theta, v) -> np.ndarray:
-        b, alpha, lam, psi = self.unpack(_check_shape(theta, self.dim))
-        vb, va, vl, vp = self.unpack(_check_shape(v, self.dim, "v"))
-        n = self.n
+        # the derivative of grad_log_h along v, term by term, with
+        # d sigma = sigma v_alpha and d phi = phi (1 - phi) v_psi
+        theta, v = _check_pair(theta, v, self.dim)
+        b, alpha, lam, psi = self.unpack(theta)
+        vb, va, vl, vp = self.unpack(v)
         sigma = np.exp(alpha)
         phi = expit(psi)
         dphi = phi * (1.0 - phi)
-        # second derivative of phi wrt psi: e^psi (1 - e^psi) / (e^psi + 1)^3
-        d2phi = dphi * (1.0 - 2.0 * phi)
-        e = np.exp(-lam - sigma * b)
-        y2e = self.y ** 2 * e
+        d_sigma = sigma * va
+        d_phi = dphi * vp
+        y2e = _columns(self.y ** 2, b) * np.exp(-lam - sigma * b)
+        h = y2e - 1.0
+        d_sb = d_sigma * b + sigma * vb  # d(sigma b)
+        d_h = -y2e * (vl + d_sb)
 
-        diag_b = -0.5 * sigma ** 2 * y2e
-        diag_b[0] -= 1.0 - phi ** 2
-        if n > 1:
-            diag_b[0] -= phi ** 2
-            diag_b[1:-1] -= 1.0 + phi ** 2
-            diag_b[-1] -= 1.0
-
-        # cross terms with the globals
-        h_b_alpha = 0.5 * sigma * y2e * (1.0 - sigma * b) - 0.5 * sigma
-        h_b_lam = -0.5 * sigma * y2e
-        # d(grad b_1)/dphi = 2 phi b_1 + b_2 - 2 phi b_1 = b_2 for n > 1;
-        # for n = 1 only the stationary prior contributes, giving 2 phi b_1.
-        h_b_psi = np.zeros(n)
-        if n > 1:
-            h_b_psi[0] = b[1] * dphi
-            h_b_psi[1:-1] = (b[2:] - 2.0 * phi * b[1:-1] + b[:-2]) * dphi
-            h_b_psi[-1] = b[-2] * dphi
-        else:
-            h_b_psi[0] = 2.0 * phi * b[0] * dphi
-
-        h_aa = 0.5 * float((b * y2e) @ (1.0 - sigma * b)) * sigma \
-            - 0.5 * sigma * np.sum(b) - 1.0 / self.sigma0_sq
-        h_ll = -0.5 * float(np.sum(y2e)) - 1.0 / self.sigma0_sq
-        h_al = -0.5 * sigma * float(b @ y2e)
-        p_phi = phi * b[0] ** 2 - phi / (1.0 - phi ** 2)
-        dp_dphi = b[0] ** 2 - (1.0 + phi ** 2) / (1.0 - phi ** 2) ** 2
-        p_phi += float((b[1:] - phi * b[:-1]) @ b[:-1])
-        dp_dphi -= float(b[:-1] @ b[:-1])
-        h_pp = dp_dphi * dphi ** 2 + p_phi * d2phi - 1.0 / self.sigma0_sq
-        # the latent block is tridiagonal with phi off the diagonal;
-        # d2/dpsi dlambda = d2/dpsi dalpha = 0
-        h_b = diag_b * vb + h_b_alpha * va + h_b_lam * vl + h_b_psi * vp
-        h_b[:-1] += phi * vb[1:]
-        h_b[1:] += phi * vb[:-1]
-        h_alpha = h_b_alpha @ vb + h_aa * va + h_al * vl
-        h_lam = h_b_lam @ vb + h_al * va + h_ll * vl
-        h_psi = h_b_psi @ vb + h_pp * vp
-        return np.concatenate([h_b, [h_alpha, h_lam, h_psi]])
+        h_b = 0.5 * (d_sigma * h + sigma * d_h)
+        h_b[0] += 2.0 * phi * d_phi * b[0] - (1.0 - phi ** 2) * vb[0]
+        innov = b[1:] - phi * b[:-1]
+        d_innov = vb[1:] - d_phi * b[:-1] - phi * vb[:-1]
+        h_b[:-1] += d_phi * innov + phi * d_innov
+        h_b[1:] -= d_innov
+        h_alpha = 0.5 * np.sum(d_sb * h + sigma * b * d_h, axis=0) - va / self.sigma0_sq
+        h_lam = 0.5 * d_h.sum(axis=0) - vl / self.sigma0_sq
+        p_phi = phi * b[0] ** 2 - phi / (1.0 - phi ** 2) + np.sum(innov * b[:-1], axis=0)
+        d_p_phi = (d_phi * (b[0] ** 2 - (1.0 + phi ** 2) / (1.0 - phi ** 2) ** 2)
+                   + 2.0 * phi * b[0] * vb[0] + np.sum(d_innov * b[:-1] + innov * vb[:-1], axis=0))
+        # d(dphi) = dphi (1 - 2 phi) v_psi
+        h_psi = d_p_phi * dphi + p_phi * dphi * (1.0 - 2.0 * phi) * vp - vp / self.sigma0_sq
+        return np.concatenate([h_b, np.stack([h_alpha, h_lam, h_psi])])

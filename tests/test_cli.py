@@ -279,7 +279,7 @@ class TestAnalysisCommands:
         lines = (out / "meanfield.csv").read_text().splitlines()
         assert lines[0] == "divergence,coordinate,sigma,kkt_case"
         assert len(lines) == 1 + 3 * 2
-        assert (out / "sd_fd_regions.csv").exists()
+        assert (out / "sd_fd_regions.csv").read_text().splitlines()[0] == "a,b,c,case"
 
     def test_unilab_command(self, tmp_path):
         out = tmp_path / "uni"

@@ -199,6 +199,13 @@ class TestReturns:
         assert y.size == 29
         assert abs(y.mean()) < 1e-10
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "1e999", "x"])
+    def test_non_finite_rate_names_its_line(self, rate, tmp_path):
+        p = write(tmp_path / "r.csv", f"# rates\n1.0\n2.0\n2024-01-03,{rate}\n")
+        with pytest.raises(ValueError) as exc:
+            load_returns(p)
+        assert str(exc.value) == f"{p}: line 4: {rate!r} is not a finite number"
+
     def test_nonpositive_rate_error(self, tmp_path):
         p = write(tmp_path / "r.csv", "1.0\n-2.0\n3.0\n")
         with pytest.raises(ValueError, match="nonpositive"):

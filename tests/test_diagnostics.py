@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,21 @@ class TestReferenceIo:
         ref = load_reference_csv(path)
         assert ref.columns == ["a", "b", "c"]
         np.testing.assert_allclose(ref.samples, data)
+
+    def test_ragged_row_names_path_and_line(self, tmp_path):
+        path = tmp_path / "ref.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 3 has 1 fields, the header has 2")):
+            load_reference_csv(path)
+
+    @pytest.mark.parametrize("cell", ["x", "nan", "-inf", "1e999"])
+    def test_bad_or_non_finite_cell_names_its_line(self, cell, tmp_path):
+        path = tmp_path / "ref.csv"
+        path.write_text(f"a,b\n1.0,2.0\n\n3.0, {cell}\n")
+        with pytest.raises(ValueError) as exc:
+            load_reference_csv(path)
+        assert str(exc.value) == f"{path}: line 4: {cell!r} is not a finite number"
 
     def test_median_heuristic_positive(self, rng):
         assert median_heuristic_bandwidth(rng.standard_normal((60, 2))) > 0

@@ -189,6 +189,28 @@ class TestAlgorithm1:
             np.testing.assert_allclose(got, ref, rtol=0,
                                        atol=1e-10 * max(1.0, np.max(np.abs(ref))))
 
+    @settings(max_examples=100)
+    @given(pattern=block_patterns(), divergence=st.sampled_from(["KLD", "FDr", "SDr"]),
+           logistic=st.booleans(), k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_columns_match_one_draw_calls(self, pattern, divergence, logistic, k, seed):
+        # z of shape (d, K) gives, column by column, the K one-draw results
+        rng = np.random.default_rng(seed)
+        d = pattern.dim
+        if logistic:
+            x = rng.standard_normal((12, d))
+            target = LogisticModel(x, (rng.random(12) < 0.5).astype(float))
+        else:
+            target = GaussianTarget(rng.standard_normal(d), random_spd(rng, d))
+        mu, factor = random_state(rng, pattern)
+        z = rng.standard_normal((d, k))
+        batched = gradient_alg1(mu, factor, target, divergence, z)
+        for got, shape in zip(batched, ((d, k), (pattern.nnz, k), (d, k))):
+            assert got.shape == shape
+        for j in range(k):
+            for got, ref in zip(batched, gradient_alg1(mu, factor, target, divergence, z[:, j])):
+                np.testing.assert_allclose(got[:, j], ref, rtol=1e-12,
+                                           atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+
     def test_one_kld_step_matches_dense_reference(self, rng):
         # full step including Adadelta, replicated with plain dense algebra
         d = 5
@@ -355,11 +377,9 @@ class TestUnbiasedness:
         n = 20_000
         zs = rng.standard_normal((n, d))
         for div, mean_true in expected.items():
-            samples = np.empty((n, d))
-            for k in range(n):
-                samples[k] = gradient_alg1(mu, factor, target, div, zs[k])[0]
-            est = samples.mean(axis=0)
-            se = samples.std(axis=0, ddof=1) / np.sqrt(n)
+            samples = gradient_alg1(mu, factor, target, div, zs.T)[0]  # (d, n)
+            est = samples.mean(axis=1)
+            se = samples.std(axis=1, ddof=1) / np.sqrt(n)
             assert np.all(np.abs(est - mean_true) <= 4.0 * se + 1e-12), div
 
 
@@ -464,7 +484,7 @@ class TestFit:
         assert res.rejected_steps == 20
         np.testing.assert_array_equal(res.state.mu, 0.0)
         np.testing.assert_array_equal(res.state.factor.values, [1.0, 0.0, 1.0])
-        assert res.state.iteration == 20
+        assert res.iterations == 20
 
     def test_overflowing_adadelta_state_rejected(self):
         # a score of 1e200 gives a finite gradient whose square overflows

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_diff_grad, central_diff_hess, hess_dense, random_spd
 from fishervi.targets import LOG_2PI, GaussianTarget, GlmmModel, LogisticModel, SvModel
@@ -213,14 +215,16 @@ def batched_model(kind, rng):
         X[rng.random(X.shape) < 0.5] = 0.0
         y = (rng.random(30) < 0.5).astype(float)
         return LogisticModel(scipy.sparse.csr_matrix(X) if kind.endswith("sparse") else X, y)
-    if kind.startswith("glmm"):
-        family = "poisson-log" if kind.endswith("poisson") else "bernoulli-logit"
-        return GlmmModel(family, *glmm_blocks(rng, family, GLMM_SIZES))
+    if kind.startswith("glmm"):  # r = 2 unless the kind ends in -r<r>
+        family = "poisson-log" if "poisson" in kind else "bernoulli-logit"
+        r = int(kind.rsplit("-r", 1)[1]) if "-r" in kind else 2
+        return GlmmModel(family, *glmm_blocks(rng, family, GLMM_SIZES, r=r))
     return SvModel(rng.standard_normal(int(kind.split("-")[1])) * 0.8)
 
 
 BATCHED_KINDS = ["gaussian", "logistic-dense", "logistic-sparse", "glmm-bernoulli",
-                 "glmm-poisson", "sv-1", "sv-2", "sv-50"]
+                 "glmm-poisson", "glmm-bernoulli-r1", "glmm-poisson-r3", "sv-1", "sv-2",
+                 "sv-50"]
 
 
 class TestBatchedScore:
@@ -298,6 +302,22 @@ class TestHessianVectorProduct:
             assert hv.shape == (model.dim,)
             np.testing.assert_allclose(hv, fd, rtol=1e-6, atol=1e-6)
 
+    @settings(max_examples=100)
+    @given(kind=st.sampled_from(BATCHED_KINDS), k=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_columns_match_single_products(self, kind, k, seed):
+        # column j of the batched product is the product at theta[:, j], v[:, j]
+        rng = np.random.default_rng(seed)
+        model = batched_model(kind, rng)
+        theta = rng.standard_normal((model.dim, k)) * 0.4
+        v = rng.standard_normal((model.dim, k))
+        hv = model.hess_log_h(theta, v)
+        assert hv.shape == theta.shape
+        for j in range(k):
+            ref = model.hess_log_h(theta[:, j], v[:, j])
+            np.testing.assert_allclose(hv[:, j], ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+
     @pytest.mark.parametrize("kind", BATCHED_KINDS)
     def test_direction_shape_checked(self, kind, rng):
         model = batched_model(kind, rng)
@@ -306,6 +326,10 @@ class TestHessianVectorProduct:
         for bad in (np.zeros(d + 1), np.zeros((d, 1)), np.zeros((d, 2))):
             with pytest.raises(ValueError, match="v has shape"):
                 model.hess_log_h(theta, bad)
+        # a batch of theta takes a v of the same width
+        for bad in (np.zeros((d, 2)), np.zeros(d)):
+            with pytest.raises(ValueError, match="v has shape"):
+                model.hess_log_h(np.zeros((d, 3)), bad)
         # only the shape is checked: a non-finite v is left for the fit
         # loop to reject as a step, so no ValueError here
         v = np.zeros(d)
