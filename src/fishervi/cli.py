@@ -41,15 +41,18 @@ CONFIG_KEYS = frozenset((
 
 
 def parse_config_text(text: str) -> dict:
-    cfg = {}
+    """{key: value} of the `key = value` lines; a key may be set once."""
+    cfg, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in line_of:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {line_of[key]}")
+        cfg[key], line_of[key] = value, lineno
     return cfg
 
 
@@ -62,18 +65,26 @@ def load_config(path) -> dict:
     return cfg
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_CAST_NEEDS = {bool: "1/0/true/false/yes/no", int: "an integer", float: "a number"}
+
+
 def _get(cfg, key, default=None, cast=str):
+    """cast(cfg[key]), or default if key is unset.  A bool is a key of _BOOLS
+    in any case; a value that does not cast is a ConfigError naming the key."""
     if key not in cfg:
         return default
-    v = cfg[key]
-    if cast is bool:
-        return v.lower() in ("1", "true", "yes")
-    return cast(v)
+    text = cfg[key]
+    try:
+        return _BOOLS[text.lower()] if cast is bool else cast(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"config key {key} must be {_CAST_NEEDS[cast]}, "
+                          f"got {text!r}") from None
 
 
 def _given(cfg, cast, **keys):
     """{name: cast(cfg[key])} for the keys cfg sets; unset ones keep the callee's default."""
-    return {name: cast(cfg[key]) for name, key in keys.items() if key in cfg}
+    return {name: _get(cfg, key, cast=cast) for name, key in keys.items() if key in cfg}
 
 
 def _path(cfg, key, required=False):

@@ -124,38 +124,41 @@ def load_libsvm(path):
     """Sparse (X, y) from `label idx:val ...` lines with 1-based indices.
 
     Labels -1/+1 map to 0/1; the column count is the maximum index seen.
-    Duplicate indices within a line are an error.
+    A token that is not `integer:number`, a label or value that is not a
+    finite number, and a duplicate index within a line are ValueErrors
+    naming the path and line.
     """
-    data, indices, indptr = [], [], [0]
-    labels = []
-    max_idx = 0
+    data, indices, indptr, labels = [], [], [0], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            label = float(parts[0])
+            label = _finite_cell(path, lineno, parts[0])
             if label not in (-1.0, 1.0):
                 raise ValueError(f"{path}:{lineno}: label must be -1 or +1, got {parts[0]}")
             labels.append(0.0 if label < 0 else 1.0)
             seen = set()
             for tok in parts[1:]:
-                idx_s, val_s = tok.split(":", 1)
-                idx = int(idx_s)
+                try:
+                    idx_s, val_s = tok.split(":", 1)
+                    idx = int(idx_s)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: expected index:value, "
+                                     f"got {tok!r}") from None
                 if idx < 1:
                     raise ValueError(f"{path}:{lineno}: indices are 1-based, got {idx}")
                 if idx in seen:
                     raise ValueError(f"{path}:{lineno}: duplicate feature index {idx}")
                 seen.add(idx)
                 indices.append(idx - 1)
-                data.append(float(val_s))
-                max_idx = max(max_idx, idx)
+                data.append(_finite_cell(path, lineno, val_s))
             indptr.append(len(data))
     if not labels:
         raise ValueError(f"{path}: no samples")
     x = scipy.sparse.csr_matrix((data, indices, indptr),
-                                shape=(len(labels), max_idx))
+                                shape=(len(labels), max(indices, default=-1) + 1))
     return x, np.asarray(labels)
 
 
@@ -192,23 +195,46 @@ class GlmmDesign:
     column_names: list = field(default_factory=list)
 
 
-def _group_rows(rows, id_col):
-    groups = {}
-    order = []
-    for row in rows:
-        key = row[id_col]
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-    return [groups[k] for k in order]
+class _Panel:
+    """A panel CSV's columns y and `names`, each cell read by `_finite_cell`,
+    and its subjects: the raw `id` cells in order of first appearance, each
+    with its rows in file order.  A missing column is a ValueError."""
+
+    def __init__(self, path, names):
+        header, rows, self.lines = _read_csv_rows(path)
+        for name in ("id", "y", *names):
+            if name not in header:
+                raise ValueError(f"{path}: missing column {name!r}")
+        self.path, self.cells = path, dict(zip(header, zip(*rows)))
+        self.col = {name: np.array([_finite_cell(path, line, c)
+                                    for c, line in zip(self.cells[name], self.lines)])
+                    for name in ("y", *names)}
+        first = {}
+        subject = [first.setdefault(key, len(first)) for key in self.cells["id"]]
+        self._order = np.argsort(subject, kind="stable")
+        self._bounds = np.cumsum(np.bincount(subject))[:-1]
+
+    def require(self, name, ok, domain):
+        """A ValueError naming the first row where ok is False."""
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise ValueError(f"{self.path}: line {self.lines[bad[0]]}: {name} must be "
+                             f"{domain}, got {self.cells[name][bad[0]].strip()!r}")
+
+    def design(self, family, names, covariates, slopes=()) -> GlmmDesign:
+        """X = [1, covariates] and Z = [1, slopes], whole columns in file order,
+        split with y into subject blocks; X's columns are "intercept", *names."""
+        one = np.ones_like(self.col["y"])
+        x, z = np.column_stack([one, *covariates]), np.column_stack([one, *slopes])
+        return GlmmDesign(family, *(np.split(a[self._order], self._bounds)
+                                    for a in (x, z, self.col["y"])), ["intercept", *names])
 
 
 def load_epilepsy(path, model: str = "epi1") -> GlmmDesign:
     """Poisson random-effect designs for seizure-count panel data.
 
-    Expects columns id, y, visit (1..4), base (pre-trial count), trt, age.
-    Covariates: Base = log(base/4), Age = centered log(age),
+    Expects columns id, y, visit (1..4), base (pre-trial count, > 0), trt,
+    age (> 0).  Covariates: Base = log(base/4), Age = centered log(age),
     Visit coded -0.3/-0.1/0.1/0.3, V4 = 1 at the fourth visit.
     Model "epi1": X = [1, Base, Trt, Age, Base*Trt, V4], random intercept.
     Model "epi2": X = [1, Base, Trt, Age, Base*Trt, Visit], random
@@ -216,90 +242,45 @@ def load_epilepsy(path, model: str = "epi1") -> GlmmDesign:
     """
     if model not in ("epi1", "epi2"):
         raise ValueError("model must be 'epi1' or 'epi2'")
-    header, rows, _ = _read_csv_rows(path)
-    col = {h: i for i, h in enumerate(header)}
-    log_age = [math.log(float(r[col["age"]])) for r in rows]
-    age_mean = sum(log_age) / len(log_age)
-    visit_code = {1: -0.3, 2: -0.1, 3: 0.1, 4: 0.3}
-
-    xb, zb, yb = [], [], []
-    for grp in _group_rows(rows, col["id"]):
-        xs, zs, ys = [], [], []
-        for r in grp:
-            base = math.log(float(r[col["base"]]) / 4.0)
-            trt = float(r[col["trt"]])
-            age = math.log(float(r[col["age"]])) - age_mean
-            visit = visit_code[int(r[col["visit"]])]
-            v4 = 1.0 if int(r[col["visit"]]) == 4 else 0.0
-            if model == "epi1":
-                xs.append([1.0, base, trt, age, base * trt, v4])
-                zs.append([1.0])
-            else:
-                xs.append([1.0, base, trt, age, base * trt, visit])
-                zs.append([1.0, visit])
-            ys.append(float(r[col["y"]]))
-        xb.append(np.asarray(xs))
-        zb.append(np.asarray(zs))
-        yb.append(np.asarray(ys))
-    names = (["intercept", "Base", "Trt", "Age", "BaseTrt", "V4"] if model == "epi1"
-             else ["intercept", "Base", "Trt", "Age", "BaseTrt", "Visit"])
-    return GlmmDesign("poisson-log", xb, zb, yb, names)
+    panel = _Panel(path, ("visit", "base", "trt", "age"))
+    visit, base, trt, age = (panel.col[n] for n in ("visit", "base", "trt", "age"))
+    panel.require("visit", np.isin(visit, (1, 2, 3, 4)), "1, 2, 3 or 4")
+    panel.require("base", base > 0, "positive")
+    panel.require("age", age > 0, "positive")
+    log_base, log_age = np.log(base / 4.0), np.log(age)
+    x = [log_base, trt, log_age - log_age.mean(), log_base * trt]
+    names = ["Base", "Trt", "Age", "BaseTrt"]
+    if model == "epi1":
+        return panel.design("poisson-log", names + ["V4"], x + [visit == 4])
+    code = (visit - 2.5) / 5.0
+    return panel.design("poisson-log", names + ["Visit"], x + [code], [code])
 
 
 def load_toenail(path) -> GlmmDesign:
     """Logistic random-intercept design: X = [1, Trt, t, Trt*t], t standardized.
 
-    Expects columns id, y, trt, time (months).
+    Expects columns id, y, trt, time (months, not all equal).
     """
-    header, rows, _ = _read_csv_rows(path)
-    col = {h: i for i, h in enumerate(header)}
-    times = np.asarray([float(r[col["time"]]) for r in rows])
-    t_std = (times - times.mean()) / times.std(ddof=0)
-    t_of_row = {id(r): t_std[i] for i, r in enumerate(rows)}
-
-    xb, zb, yb = [], [], []
-    for grp in _group_rows(rows, col["id"]):
-        xs, ys = [], []
-        for r in grp:
-            trt = float(r[col["trt"]])
-            t = t_of_row[id(r)]
-            xs.append([1.0, trt, t, trt * t])
-            ys.append(float(r[col["y"]]))
-        xb.append(np.asarray(xs))
-        zb.append(np.ones((len(grp), 1)))
-        yb.append(np.asarray(ys))
-    return GlmmDesign("bernoulli-logit", xb, zb, yb,
-                      ["intercept", "Trt", "t", "Trt:t"])
+    panel = _Panel(path, ("trt", "time"))
+    trt, time = panel.col["trt"], panel.col["time"]
+    if np.all(time == time[0]):
+        raise ValueError(f"{path}: column 'time' is constant")
+    t = (time - time.mean()) / time.std(ddof=0)
+    return panel.design("bernoulli-logit", ["Trt", "t", "Trt:t"], [trt, t, trt * t])
 
 
 def load_polypharmacy(path) -> GlmmDesign:
     """Logistic random-intercept design with the outpatient-visit codings.
 
-    Expects columns id, y, gender, race, age, mhv (visit count), inptmhv.
-    Covariates: Gender, Race, log(age/10), MHV1 (1-5 visits), MHV2 (6-14),
-    MHV3 (>= 15), INPTMHV.
+    Expects columns id, y, gender, race, age (> 0), mhv (visit count),
+    inptmhv.  Covariates: Gender, Race, log(age/10), MHV1 (1-5 visits),
+    MHV2 (6-14), MHV3 (>= 15), INPTMHV.
     """
-    header, rows, _ = _read_csv_rows(path)
-    col = {h: i for i, h in enumerate(header)}
-    xb, zb, yb = [], [], []
-    for grp in _group_rows(rows, col["id"]):
-        xs, ys = [], []
-        for r in grp:
-            mhv = float(r[col["mhv"]])
-            xs.append([
-                1.0,
-                float(r[col["gender"]]),
-                float(r[col["race"]]),
-                math.log(float(r[col["age"]]) / 10.0),
-                1.0 if 1 <= mhv <= 5 else 0.0,
-                1.0 if 6 <= mhv <= 14 else 0.0,
-                1.0 if mhv >= 15 else 0.0,
-                float(r[col["inptmhv"]]),
-            ])
-            ys.append(float(r[col["y"]]))
-        xb.append(np.asarray(xs))
-        zb.append(np.ones((len(grp), 1)))
-        yb.append(np.asarray(ys))
-    return GlmmDesign("bernoulli-logit", xb, zb, yb,
-                      ["intercept", "Gender", "Race", "Age",
-                       "MHV1", "MHV2", "MHV3", "INPTMHV"])
+    panel = _Panel(path, ("gender", "race", "age", "mhv", "inptmhv"))
+    age, mhv = panel.col["age"], panel.col["mhv"]
+    panel.require("age", age > 0, "positive")
+    return panel.design("bernoulli-logit",
+                        ["Gender", "Race", "Age", "MHV1", "MHV2", "MHV3", "INPTMHV"],
+                        [panel.col["gender"], panel.col["race"], np.log(age / 10.0),
+                         (1 <= mhv) & (mhv <= 5), (6 <= mhv) & (mhv <= 14), mhv >= 15,
+                         panel.col["inptmhv"]])

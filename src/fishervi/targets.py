@@ -89,6 +89,8 @@ class GaussianTarget:
         self.dim = self.nu.size
         if self.lamb.shape != (self.dim, self.dim):
             raise ValueError("precision shape does not match mean")
+        if not (np.isfinite(self.nu).all() and np.isfinite(self.lamb).all()):
+            raise ValueError("mean and precision must be finite")
         if not np.allclose(self.lamb, self.lamb.T, atol=1e-10):
             raise ValueError("precision must be symmetric")
         try:
@@ -222,6 +224,8 @@ class GlmmModel:
         self._wrows, self._wcols = w_pattern.rows, w_pattern.cols
         self._wdiag = w_pattern.diag_slots
         if self.family == "poisson-log":
+            if not np.all(np.isfinite(self.y) & (self.y >= 0) & (self.y == np.round(self.y))):
+                raise ValueError("poisson responses must be non-negative integers")
             self._y_const = -float(np.sum(gammaln(self.y + 1.0)))
         else:
             self._y_const = 0.0

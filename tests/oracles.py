@@ -4,15 +4,15 @@ Each oracle takes a longer or independent route to a value the package
 computes another way: the trace and per-sample forms of the FDb / SDb batch
 objective, the proximal objective, the batch statistics' distance from their
 infinite-batch limits, the stationarity of the Student-t mean, the
-closed-form log-inverse-gamma Fisher divergence and the two-pass CSV design
-loader.
+closed-form log-inverse-gamma Fisher divergence, the two-pass CSV design
+loader and the row-by-row mixed-model design recipes.
 """
 import csv
 import math
 
 import numpy as np
 
-from fishervi.datasets import DesignInfo, LoadedDesign
+from fishervi.datasets import DesignInfo, GlmmDesign, LoadedDesign, _read_csv_rows
 from fishervi.optimizers import BatchStats, compute_batch_stats
 from fishervi.unilab import DIVERGENCES, StudentT, _objective_and_grad
 
@@ -226,3 +226,122 @@ def csv_design_reference(path, response: str, intercept: bool = True) -> LoadedD
     x_mat = np.hstack(blocks)
     return LoadedDesign(x_mat, y, DesignInfo(names, numeric_stats,
                                              categorical_levels, intercept))
+
+
+# ---------------------------------------------------------------------------
+# mixed-model design recipes, grouping rows by subject and converting each
+# row's cells in a Python loop
+
+
+
+def _group_rows(rows, id_col):
+    groups = {}
+    order = []
+    for row in rows:
+        key = row[id_col]
+        if key not in groups:
+            groups[key] = []
+            order.append(key)
+        groups[key].append(row)
+    return [groups[k] for k in order]
+
+
+def epilepsy_reference(path, model: str = "epi1") -> GlmmDesign:
+    """Poisson random-effect designs for seizure-count panel data.
+
+    Expects columns id, y, visit (1..4), base (pre-trial count), trt, age.
+    Covariates: Base = log(base/4), Age = centered log(age),
+    Visit coded -0.3/-0.1/0.1/0.3, V4 = 1 at the fourth visit.
+    Model "epi1": X = [1, Base, Trt, Age, Base*Trt, V4], random intercept.
+    Model "epi2": X = [1, Base, Trt, Age, Base*Trt, Visit], random
+    intercept and Visit slope.
+    """
+    if model not in ("epi1", "epi2"):
+        raise ValueError("model must be 'epi1' or 'epi2'")
+    header, rows, _ = _read_csv_rows(path)
+    col = {h: i for i, h in enumerate(header)}
+    log_age = [math.log(float(r[col["age"]])) for r in rows]
+    age_mean = sum(log_age) / len(log_age)
+    visit_code = {1: -0.3, 2: -0.1, 3: 0.1, 4: 0.3}
+
+    xb, zb, yb = [], [], []
+    for grp in _group_rows(rows, col["id"]):
+        xs, zs, ys = [], [], []
+        for r in grp:
+            base = math.log(float(r[col["base"]]) / 4.0)
+            trt = float(r[col["trt"]])
+            age = math.log(float(r[col["age"]])) - age_mean
+            visit = visit_code[int(r[col["visit"]])]
+            v4 = 1.0 if int(r[col["visit"]]) == 4 else 0.0
+            if model == "epi1":
+                xs.append([1.0, base, trt, age, base * trt, v4])
+                zs.append([1.0])
+            else:
+                xs.append([1.0, base, trt, age, base * trt, visit])
+                zs.append([1.0, visit])
+            ys.append(float(r[col["y"]]))
+        xb.append(np.asarray(xs))
+        zb.append(np.asarray(zs))
+        yb.append(np.asarray(ys))
+    names = (["intercept", "Base", "Trt", "Age", "BaseTrt", "V4"] if model == "epi1"
+             else ["intercept", "Base", "Trt", "Age", "BaseTrt", "Visit"])
+    return GlmmDesign("poisson-log", xb, zb, yb, names)
+
+
+def toenail_reference(path) -> GlmmDesign:
+    """Logistic random-intercept design: X = [1, Trt, t, Trt*t], t standardized.
+
+    Expects columns id, y, trt, time (months).
+    """
+    header, rows, _ = _read_csv_rows(path)
+    col = {h: i for i, h in enumerate(header)}
+    times = np.asarray([float(r[col["time"]]) for r in rows])
+    t_std = (times - times.mean()) / times.std(ddof=0)
+    t_of_row = {id(r): t_std[i] for i, r in enumerate(rows)}
+
+    xb, zb, yb = [], [], []
+    for grp in _group_rows(rows, col["id"]):
+        xs, ys = [], []
+        for r in grp:
+            trt = float(r[col["trt"]])
+            t = t_of_row[id(r)]
+            xs.append([1.0, trt, t, trt * t])
+            ys.append(float(r[col["y"]]))
+        xb.append(np.asarray(xs))
+        zb.append(np.ones((len(grp), 1)))
+        yb.append(np.asarray(ys))
+    return GlmmDesign("bernoulli-logit", xb, zb, yb,
+                      ["intercept", "Trt", "t", "Trt:t"])
+
+
+def polypharmacy_reference(path) -> GlmmDesign:
+    """Logistic random-intercept design with the outpatient-visit codings.
+
+    Expects columns id, y, gender, race, age, mhv (visit count), inptmhv.
+    Covariates: Gender, Race, log(age/10), MHV1 (1-5 visits), MHV2 (6-14),
+    MHV3 (>= 15), INPTMHV.
+    """
+    header, rows, _ = _read_csv_rows(path)
+    col = {h: i for i, h in enumerate(header)}
+    xb, zb, yb = [], [], []
+    for grp in _group_rows(rows, col["id"]):
+        xs, ys = [], []
+        for r in grp:
+            mhv = float(r[col["mhv"]])
+            xs.append([
+                1.0,
+                float(r[col["gender"]]),
+                float(r[col["race"]]),
+                math.log(float(r[col["age"]]) / 10.0),
+                1.0 if 1 <= mhv <= 5 else 0.0,
+                1.0 if 6 <= mhv <= 14 else 0.0,
+                1.0 if mhv >= 15 else 0.0,
+                float(r[col["inptmhv"]]),
+            ])
+            ys.append(float(r[col["y"]]))
+        xb.append(np.asarray(xs))
+        zb.append(np.ones((len(grp), 1)))
+        yb.append(np.asarray(ys))
+    return GlmmDesign("bernoulli-logit", xb, zb, yb,
+                      ["intercept", "Gender", "Race", "Age",
+                       "MHV1", "MHV2", "MHV3", "INPTMHV"])

@@ -57,6 +57,63 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="ghost.csv"):
             build_model(load_config(cfg))
 
+    def test_repeated_key_names_both_lines(self, gaussian_setup, tmp_path, capsys):
+        # the last value used to win: SDb followed by KLD fitted KLD
+        cfg, _, _ = gaussian_setup
+        text = cfg.read_text().replace("divergence = KLD", "divergence = SDb")
+        cfg.write_text(text + "divergence = KLD\n")
+        first, last = text.splitlines().index("divergence = SDb") + 1, text.count("\n") + 1
+        out = tmp_path / "o"
+        assert main(["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: line {last}: divergence is already "
+                                           f"set on line {first}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, has_intercept", [
+        ("1", True), ("true", True), ("YES", True), ("True", True),
+        ("0", False), ("false", False), ("No", False), ("FALSE", False),
+    ])
+    def test_bool_spellings_in_any_case(self, tmp_path, rng, value, has_intercept):
+        cfg = logistic_sweep_config(tmp_path, rng)
+        cfg.write_text(cfg.read_text() + f"model.intercept = {value}\n")
+        assert build_model(load_config(cfg)).dim == 2 + has_intercept
+
+    @pytest.mark.parametrize("value", ["flase", "2", "on", ""])
+    def test_other_bool_value_rejected(self, tmp_path, rng, capsys, value):
+        # `flase` used to read as False
+        cfg = logistic_sweep_config(tmp_path, rng)
+        cfg.write_text(cfg.read_text() + f"model.intercept = {value}\n")
+        assert main(["fit", "--config", str(cfg), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == ("error: config key model.intercept must be "
+                                           f"1/0/true/false/yes/no, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("optimizer.max_iter = 1500", "optimizer.max_iter = 1e4",
+         "config key optimizer.max_iter must be an integer, got '1e4'"),
+        ("optimizer.window = 300", "optimizer.window = ten",
+         "config key optimizer.window must be an integer, got 'ten'"),
+        ("divergence = KLD", "divergence = SDb\noptimizer.batch_size = 2.0",
+         "config key optimizer.batch_size must be an integer, got '2.0'"),
+        ("divergence = KLD", "divergence = KLD\ninit.t_scale = big",
+         "config key init.t_scale must be a number, got 'big'"),
+    ])
+    def test_uncastable_value_names_its_key(self, gaussian_setup, tmp_path, capsys, old,
+                                            new, message):
+        # these read "invalid literal for int() with base 10: '1e4'"
+        cfg, _, _ = gaussian_setup
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert main(["fit", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_sweep_names_uncastable_seed(self, gaussian_setup, tmp_path, capsys):
+        cfg, _, _ = gaussian_setup
+        cfg.write_text(cfg.read_text() + "seed = 1.5\n")
+        assert main(["sweep", str(cfg)]) == 1
+        assert capsys.readouterr().err == (f"error: {cfg}: config key seed must be an "
+                                           "integer, got '1.5'\n")
+
 
 class TestFitCommand:
     def test_run_writes_artifacts_and_exit_zero(self, gaussian_setup, tmp_path):
@@ -223,6 +280,66 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "compare.replicates" in err
         assert not (out / "comparison.json").exists() and not out.exists()
+
+
+def write_panel(path, dataset, rng, n_subjects=8, drop=None):
+    """A panel CSV of n_subjects with 4 visits each, in the columns of a recipe."""
+    rows = []
+    for sid in range(1, n_subjects + 1):
+        trt, age, base = sid % 2, int(rng.integers(18, 60)), int(rng.integers(5, 100))
+        for j in range(4):
+            if dataset == "epilepsy":
+                rows.append({"id": sid, "y": int(rng.poisson(3)), "visit": j + 1,
+                             "base": base, "trt": trt, "age": age})
+            elif dataset == "toenail":
+                rows.append({"id": sid, "y": int(rng.random() < 0.4), "trt": trt,
+                             "time": 3 * j})
+            else:
+                rows.append({"id": sid, "y": int(rng.random() < 0.4), "gender": sid % 2,
+                             "race": sid // 2 % 2, "age": age,
+                             "mhv": int(rng.integers(0, 25)), "inptmhv": j % 2})
+    names = [n for n in rows[0] if n != drop]
+    path.write_text("".join(",".join(str(r[n]) for n in names) + "\n"
+                            for r in [dict(zip(names, names)), *rows]))
+
+
+class TestGlmmConfigs:
+    @staticmethod
+    def glmm_config(tmp_path, rng, dataset, variant=None, drop=None):
+        write_panel(tmp_path / "panel.csv", dataset, rng, drop=drop)
+        cfg = tmp_path / "glmm.cfg"
+        cfg.write_text(f"model.kind = glmm\nmodel.dataset = {dataset}\n"
+                       + (f"model.variant = {variant}\n" if variant else "")
+                       + "model.data_csv = panel.csv\ndivergence = SDb\n"
+                       "optimizer.max_iter = 50\noptimizer.window = 10\n")
+        return cfg
+
+    @pytest.mark.parametrize("dataset, variant, dim", [
+        # 8 subjects x r random effects, p fixed effects, r(r+1)/2 for W
+        ("epilepsy", "epi1", 8 + 6 + 1), ("epilepsy", "epi2", 16 + 6 + 3),
+        ("toenail", None, 8 + 4 + 1), ("polypharmacy", None, 8 + 8 + 1),
+    ])
+    def test_fit_runs_each_recipe(self, tmp_path, rng, capsys, dataset, variant, dim):
+        cfg = self.glmm_config(tmp_path, rng, dataset, variant)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {out / 'fitresult.json'}")
+        doc = json.loads((out / "fitresult.json").read_text())
+        assert len(doc["mu"]) == dim and np.all(np.isfinite(doc["mu"]))
+        assert 0 < doc["iterations"] <= 50
+        assert (out / "lb_trace.csv").exists()
+
+    @pytest.mark.parametrize("dataset, drop", [
+        ("epilepsy", "visit"), ("epilepsy", "id"), ("toenail", "time"), ("polypharmacy", "y"),
+    ])
+    def test_recipe_csv_missing_column_reported(self, tmp_path, rng, capsys, dataset, drop):
+        # a missing column escaped `fit` as a KeyError traceback
+        cfg = self.glmm_config(tmp_path, rng, dataset, drop=drop)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'panel.csv'}: "
+                                           f"missing column {drop!r}\n")
+        assert not out.exists()
 
 
 class TestCompareCommand:

@@ -14,7 +14,12 @@ from fishervi.datasets import (
     load_returns,
     load_toenail,
 )
-from oracles import csv_design_reference
+from oracles import (
+    csv_design_reference,
+    epilepsy_reference,
+    polypharmacy_reference,
+    toenail_reference,
+)
 
 
 def write(path, text):
@@ -182,6 +187,24 @@ class TestLibsvm:
         with pytest.raises(ValueError, match="label"):
             load_libsvm(bad)
 
+    @pytest.mark.parametrize("line, message", [
+        ("+1 3", "{p}:2: expected index:value, got '3'"),
+        ("+1 1:1 a:1", "{p}:2: expected index:value, got 'a:1'"),
+        ("+1 1.5:1", "{p}:2: expected index:value, got '1.5:1'"),
+        ("x 1:1", "{p}: line 2: 'x' is not a finite number"),
+        ("+1 1:x", "{p}: line 2: 'x' is not a finite number"),
+        ("+1 1:nan", "{p}: line 2: 'nan' is not a finite number"),
+        ("+1 2:-inf", "{p}: line 2: '-inf' is not a finite number"),
+        ("+1 1:", "{p}: line 2: '' is not a finite number"),
+    ])
+    def test_malformed_token_names_path_and_line(self, tmp_path, line, message):
+        # these read "not enough values to unpack" or "could not convert",
+        # with no path or line; a non-finite value was kept
+        p = write(tmp_path / "f.svm", f"-1 1:1\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            load_libsvm(p)
+        assert str(exc.value) == message.format(p=p)
+
 
 class TestReturns:
     def test_constant_series_all_zeros(self, tmp_path):
@@ -276,3 +299,132 @@ class TestGlmmRecipes:
         assert model.dim == 5 * 1 + 4 + 1
         theta = rng.standard_normal(model.dim) * 0.2
         assert np.isfinite(model.log_h(theta))
+
+    @pytest.mark.parametrize("loader, header", [
+        (load_epilepsy, "id,y,visit,base,trt,age"),
+        (load_toenail, "id,y,trt,time"),
+        (load_polypharmacy, "id,y,gender,race,age,mhv,inptmhv"),
+    ], ids=["epilepsy", "toenail", "polypharmacy"])
+    def test_missing_column_is_named(self, tmp_path, loader, header):
+        # a missing column escaped as KeyError
+        names = header.split(",")
+        for drop in names:
+            kept = [n for n in names if n != drop]
+            p = write(tmp_path / f"no_{drop}.csv",
+                      ",".join(kept) + "\n" + ",".join("1" for _ in kept) + "\n")
+            with pytest.raises(ValueError) as exc:
+                loader(p)
+            assert str(exc.value) == f"{p}: missing column {drop!r}"
+
+    @pytest.mark.parametrize("loader, header, row", [
+        (load_epilepsy, "id,y,visit,base,trt,age", "2,3,1,8,{},30"),
+        (load_toenail, "id,y,trt,time", "2,1,0,{}"),
+        (load_polypharmacy, "id,y,gender,race,age,mhv,inptmhv", "2,0,1,{},40,3,0"),
+    ], ids=["epilepsy", "toenail", "polypharmacy"])
+    @pytest.mark.parametrize("cell", ["x", "nan", " inf", "1e999", ""])
+    def test_bad_cell_names_path_and_line(self, tmp_path, loader, header, row, cell):
+        # 'x' read "could not convert string to float" with no path or line;
+        # a nan time made the whole toenail t column NaN
+        good = {load_epilepsy: "1,2,1,8,1,30", load_toenail: "1,0,1,4",
+                load_polypharmacy: "1,1,0,1,20,0,1"}[loader]
+        p = write(tmp_path / "bad.csv", f"{header}\n{good}\n{row.format(cell)}\n")
+        with pytest.raises(ValueError) as exc:
+            loader(p)
+        assert str(exc.value) == f"{p}: line 3: {cell.strip()!r} is not a finite number"
+
+    @pytest.mark.parametrize("column, value, domain", [
+        ("visit", "5", "1, 2, 3 or 4"), ("visit", " 0", "1, 2, 3 or 4"),
+        ("visit", "2.5", "1, 2, 3 or 4"), ("base", "0", "positive"),
+        ("base", "-4", "positive"), ("age", "0", "positive"), ("age", "-30", "positive"),
+    ])
+    def test_epilepsy_domains(self, tmp_path, column, value, domain):
+        # visit 5 escaped as KeyError, base or age <= 0 as "math domain error"
+        cells = {"id": "2", "y": "1", "visit": "2", "base": "8", "trt": "0", "age": "30"}
+        cells[column] = value
+        p = write(tmp_path / "epi.csv", "id,y,visit,base,trt,age\n1,2,1,8,1,30\n"
+                  + ",".join(cells.values()) + "\n")
+        for model in ("epi1", "epi2"):
+            with pytest.raises(ValueError) as exc:
+                load_epilepsy(p, model)
+            assert str(exc.value) == (f"{p}: line 3: {column} must be {domain}, "
+                                      f"got {value.strip()!r}")
+
+    @pytest.mark.parametrize("age", ["0", "-20"])
+    def test_polypharmacy_age_must_be_positive(self, tmp_path, age):
+        p = write(tmp_path / "poly.csv", "id,y,gender,race,age,mhv,inptmhv\n"
+                  f"1,0,1,0,20,0,0\n1,1,1,0,{age},3,1\n")
+        with pytest.raises(ValueError) as exc:
+            load_polypharmacy(p)
+        assert str(exc.value) == f"{p}: line 3: age must be positive, got {age!r}"
+
+    @pytest.mark.parametrize("times", [("4", "4", "4"), ("0.1", "0.1", "0.1")])
+    def test_toenail_constant_time_rejected(self, tmp_path, times):
+        # a constant time divided by a zero (or rounding-sized) sd
+        p = write(tmp_path / "toe.csv", "id,y,trt,time\n" + "".join(
+            f"{k % 2},{k % 2},1,{t}\n" for k, t in enumerate(times)))
+        with pytest.raises(ValueError) as exc:
+            load_toenail(p)
+        assert str(exc.value) == f"{p}: column 'time' is constant"
+
+
+def _cell(data, strategy):
+    return data.draw(st.sampled_from(["{}", " {}", "{} "])).format(data.draw(strategy))
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _numbers(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), st.floats(lo, hi).map(repr))
+
+
+EPILEPSY_COLUMNS = {"y": _ints(0, 30), "visit": _ints(1, 4), "base": _numbers(1, 150),
+                    "trt": _ints(0, 1), "age": _numbers(16, 60)}
+# recipe: (loader, row-loop reference, column -> cell text strategy)
+RECIPES = {
+    "epi1": (lambda p: load_epilepsy(p, "epi1"), lambda p: epilepsy_reference(p, "epi1"),
+             EPILEPSY_COLUMNS),
+    "epi2": (lambda p: load_epilepsy(p, "epi2"), lambda p: epilepsy_reference(p, "epi2"),
+             EPILEPSY_COLUMNS),
+    "toenail": (load_toenail, toenail_reference,
+                {"y": _ints(0, 1), "trt": _ints(0, 1), "time": _numbers(0, 12)}),
+    "polypharmacy": (load_polypharmacy, polypharmacy_reference,
+                     {"y": _ints(0, 1), "gender": _ints(0, 1), "race": _ints(0, 1),
+                      "age": _numbers(20, 90), "mhv": _numbers(0, 30),
+                      "inptmhv": _ints(0, 1)}),
+}
+
+
+class TestGlmmRecipesMatchRowLoop:
+    @pytest.mark.parametrize("recipe", sorted(RECIPES))
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_matches_row_loop_reference(self, tmp_path_factory, recipe, data):
+        # interleaved subjects whose raw ids differ only by padding, 1-6 rows
+        # each, and the columns in any order
+        load, reference, columns = RECIPES[recipe]
+        ids = data.draw(st.lists(st.sampled_from(["1", "2", " 2", "10", "a", "007", "7"]),
+                                 min_size=1, max_size=5, unique=True), label="ids")
+        rows = [[sid] + [_cell(data, s) for s in columns.values()]
+                for sid in ids for _ in range(data.draw(st.integers(1, 6)))]
+        rows = data.draw(st.permutations(rows), label="row order")
+        order = data.draw(st.permutations(range(len(columns) + 1)), label="column order")
+        header = ["id", *columns]
+        text = "".join(",".join(r[j] for j in order) + "\n" for r in [header, *rows])
+        p = tmp_path_factory.mktemp("panel") / "panel.csv"
+        p.write_text(text)
+        if recipe == "toenail" and len({float(r[-1]) for r in rows}) == 1:
+            with pytest.raises(ValueError, match="column 'time' is constant"):
+                load(p)
+            return
+        got, want = load(p), reference(p)
+        assert (got.family, got.column_names) == (want.family, want.column_names)
+        assert len(got.X_blocks) == len(got.Z_blocks) == len(got.y_blocks) == len(want.X_blocks)
+        for name in ("X_blocks", "Z_blocks", "y_blocks"):
+            assert [b.shape for b in getattr(got, name)] == [b.shape for b in getattr(want, name)]
+        for g, w in zip(got.y_blocks + got.Z_blocks, want.y_blocks + want.Z_blocks):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        for g, w in zip(got.X_blocks, want.X_blocks):
+            # numpy's log and mean round differently from math.log and sum
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)

@@ -52,6 +52,15 @@ class TestGaussianTarget:
         with pytest.raises(ValueError):
             GaussianTarget(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("where", ["nu", "lambda"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_inputs(self, where, bad):
+        # a NaN in Lambda read "precision must be symmetric"; one in nu was kept
+        nu, lamb = np.zeros(2), np.eye(2)
+        (nu if where == "nu" else lamb)[1, ...] = bad
+        with pytest.raises(ValueError, match="^mean and precision must be finite$"):
+            GaussianTarget(nu, lamb)
+
 
 class TestLogisticModel:
     def test_hand_values_at_zero(self):
@@ -286,6 +295,16 @@ class TestBatchedScore:
         yb[-1][-1] = 2.0
         with pytest.raises(ValueError, match="binary"):
             GlmmModel("bernoulli-logit", xb, zb, yb)
+
+    @pytest.mark.parametrize("bad", [-1.0, 1.5, np.inf, np.nan])
+    def test_poisson_response_checked_in_last_block(self, rng, bad):
+        # y = -1 gave log h = -inf at every theta
+        xb, zb, yb = glmm_blocks(rng, "poisson-log", GLMM_SIZES)
+        GlmmModel("poisson-log", xb, zb, yb)
+        yb[-1] = yb[-1].copy()
+        yb[-1][-1] = bad
+        with pytest.raises(ValueError, match="poisson responses must be non-negative integers"):
+            GlmmModel("poisson-log", xb, zb, yb)
 
 
 class TestHessianVectorProduct:
