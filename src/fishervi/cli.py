@@ -57,10 +57,14 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path) -> dict:
+    """The config's {key: value}, and "_dir"; its errors start with the path."""
     if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{path}: config file not found")
     with open(path) as fh:
-        cfg = parse_config_text(fh.read())
+        try:
+            cfg = parse_config_text(fh.read())
+        except ValueError as exc:  # a ConfigError, or bytes that are not text
+            raise ConfigError(f"{path}: {exc}") from None
     cfg["_dir"] = os.path.dirname(os.path.abspath(path))
     return cfg
 
@@ -104,10 +108,9 @@ def build_model(cfg: dict):
     if kind is None:
         raise ConfigError("missing required config key model.kind")
     if kind == "gaussian":
-        nu = np.loadtxt(_path(cfg, "model.nu_csv", required=True), delimiter=",", ndmin=1)
-        lamb = np.loadtxt(_path(cfg, "model.lambda_csv", required=True),
-                          delimiter=",", ndmin=2)
-        return GaussianTarget(nu, lamb)
+        return GaussianTarget(
+            datasets.load_csv_matrix(_path(cfg, "model.nu_csv", required=True), vector=True),
+            datasets.load_csv_matrix(_path(cfg, "model.lambda_csv", required=True)))
     if kind == "logistic":
         prior = _given(cfg, float, sigma0_sq="model.sigma0_sq")
         if "model.data_libsvm" in cfg:
@@ -203,9 +206,8 @@ def run(cfg: dict, seed: int, out_dir: str) -> dict:
 def load_reference_precision():
     """Stored d=49 logistic-posterior-style precision and mean for experiments."""
     base = importlib.resources.files("fishervi") / "_refdata"
-    lamb = np.loadtxt(str(base / "ref_precision_d49.csv"), delimiter=",")
-    nu = np.loadtxt(str(base / "ref_mean_d49.csv"), delimiter=",")
-    return nu, lamb
+    return (datasets.load_csv_matrix(str(base / "ref_mean_d49.csv"), vector=True),
+            datasets.load_csv_matrix(str(base / "ref_precision_d49.csv")))
 
 
 def _bounded(cast, low, high=None, low_open=False):
@@ -263,7 +265,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_meanfield(args) -> int:
-    lamb = np.loadtxt(args.lambda_csv, delimiter=",", ndmin=2)
+    lamb = datasets.load_csv_matrix(args.lambda_csv)
     os.makedirs(args.out, exist_ok=True)
     kl = meanfield.meanfield_kl(lamb)
     fd = meanfield.meanfield_fd(lamb)
@@ -326,12 +328,13 @@ def _cmd_sweep(args) -> int:
     """Run the configs in order; a failing one is reported by path and sets exit status 1."""
     status = 0
     for path in args.configs:
+        cfg = None
         try:
             cfg = load_config(path)
             info = run(cfg, _get(cfg, "seed", 0, int),
                        _get(cfg, "output_dir", os.path.splitext(path)[0] + "_out"))
-        except _REPORTED_ERRORS as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+        except _REPORTED_ERRORS as exc:  # load_config's errors name the path already
+            print(f"error: {exc}" if cfg is None else f"error: {path}: {exc}", file=sys.stderr)
             status = 1
             continue
         print(f"{path}: stop={info['stop_reason']} iters={info['iterations']}")

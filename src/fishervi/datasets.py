@@ -3,9 +3,9 @@
 Loaders are pure functions of the file bytes: quantitative predictors are
 standardized to mean zero / sd one, qualitative predictors are dummy-encoded
 against a reference level (first level in sorted order), and an intercept
-column is prepended.  A libsvm-format parser and the mean-corrected
-log-return transform used by the volatility models live here too, along
-with the mixed-model design recipes for the clinical panel datasets.
+column is prepended.  A headerless matrix reader, a libsvm-format parser
+and the mean-corrected log-return transform of the volatility models live
+here too, along with the mixed-model recipes for the clinical panels.
 """
 from __future__ import annotations
 
@@ -34,23 +34,30 @@ class LoadedDesign:
     info: DesignInfo
 
 
-def _read_csv_rows(path):
-    """Stripped header, the non-empty rows and their line numbers; every row
-    must be as wide as the header, so columns can be read off by position."""
+def _read_csv_rows(path, header=True):
+    """Stripped header (None if header=False), the non-empty rows and their line
+    numbers.  Header names must be unique and every row as wide as the header (or
+    as the first row), so columns can be read off by position."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
+        names = [h.strip() for h in next(reader, [])] if header else None
+        width, where = (len(names), "the header") if header else (None, None)
         rows, lines = [], []
         for row in reader:
             if row:
-                if len(row) != len(header):
-                    raise ValueError(f"{path}: line {reader.line_num} has {len(row)} "
-                                     f"fields, the header has {len(header)}")
+                if len(row) != width:
+                    if width is not None:
+                        raise ValueError(f"{path}: line {reader.line_num} has {len(row)} "
+                                         f"fields, {where} has {width}")
+                    width, where = len(row), f"line {reader.line_num}"  # the first row's
                 rows.append(row)
                 lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return header, rows, lines
+    if header and len(set(names)) < len(names):
+        name = next(h for i, h in enumerate(names) if h in names[:i])
+        raise ValueError(f"{path}: column {name!r} is repeated in the header")
+    return names, rows, lines
 
 
 def _finite_cell(path, line, text) -> float:
@@ -62,6 +69,18 @@ def _finite_cell(path, line, text) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{path}: line {line}: {text.strip()!r} is not a finite number")
     return value
+
+
+def load_csv_matrix(path, vector=False) -> np.ndarray:
+    """A headerless CSV's cells as floats, (rows, columns), blank lines skipped;
+    with vector=True, one row or column as a 1-d array.  A ragged row, a cell that
+    is not a finite number (a `#` line too) or a vector's 2-d shape is a ValueError."""
+    _, rows, lines = _read_csv_rows(path, header=False)
+    m = np.array([[_finite_cell(path, line, c) for c in row] for row, line in zip(rows, lines)])
+    if vector and min(m.shape) > 1:
+        raise ValueError(f"{path}: expected a single row or column, got "
+                         f"{m.shape[0]} x {m.shape[1]}")
+    return m.ravel() if vector else m
 
 
 def load_csv_design(path, response: str, intercept: bool = True) -> LoadedDesign:
@@ -77,9 +96,6 @@ def load_csv_design(path, response: str, intercept: bool = True) -> LoadedDesign
     1e999) and constant numeric columns.
     """
     header, rows, lines = _read_csv_rows(path)
-    if len(set(header)) < len(header):
-        name = next(h for i, h in enumerate(header) if h in header[:i])
-        raise ValueError(f"{path}: column {name!r} is repeated in the header")
     if response not in header:
         raise ValueError(f"response column {response!r} not in header {header}")
     cols = dict(zip(header, zip(*rows)))

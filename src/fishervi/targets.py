@@ -9,13 +9,16 @@ pattern (`sparsity_hint`).  `log_h` takes one theta of shape (dim,).  The
 score and the product are batched: `grad_log_h` takes theta of shape (dim,)
 or (dim, B), and `hess_log_h` takes theta and v of one such shape; each
 returns that shape, column j belonging to theta[:, j].  The GLMM and SV
-products are the derivative of their batched score along v.  Shapes are
+products are the complex-step derivative Im g(theta + i h v) / h of their
+batched score g, so g must stay analytic in theta: no abs, maximum, where,
+comparison or real-only special function of theta.  Shapes are
 checked; finiteness is not: a non-finite theta, or one whose value
 overflows, gives a non-finite result, which the fit step rejects.
 Evaluation is pure; models are immutable after construction.
 """
 from __future__ import annotations
 
+import math
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -25,11 +28,25 @@ from scipy.special import expit, gammaln
 from .linalg import SparsityPattern, build_dense_pattern, build_pattern
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+_STEP = 1e-20  # the complex step h; Im g(theta + i h v) / h takes no difference
 
 
 def softplus(x):
     """log(1 + exp(x)), stable for large |x|."""
     return np.logaddexp(0.0, x)
+
+
+def _expit(x):
+    """scipy's expit on real x; the analytic 0.5 + 0.5 tanh(x / 2) on complex x."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x) if x.dtype.kind == "c" else expit(x)
+
+
+def _positive(name, value) -> float:
+    """float(value); a ValueError naming `name` unless it is finite and positive."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
 
 
 @runtime_checkable
@@ -39,8 +56,9 @@ class TargetModel(Protocol):
     `log_h` takes theta of shape (dim,).  `grad_log_h` accepts theta of
     shape (dim,) or (dim, B) and returns the score with the same shape,
     column by column, and `hess_log_h(theta, v)` takes theta and v of one
-    such shape and returns H(theta[:, j]) v[:, j] in column j.  A wrong
-    shape raises ValueError; non-finite values are computed through,
+    such shape and returns H(theta[:, j]) v[:, j] in column j (for GLMM
+    and SV, the complex-step derivative of the score).  A wrong shape
+    raises ValueError; non-finite values are computed through,
     not checked.  An optional `default_batch_size` attribute sets the
     FDb/SDb batch size when the fit config leaves it unset.
     """
@@ -76,6 +94,14 @@ def _check_pair(theta, v, dim):
 def _columns(v, theta):
     """v of shape (dim,) shaped to broadcast against theta of shape (dim,) or (dim, B)."""
     return v if theta.ndim == 1 else v[:, None]
+
+
+def _complex_step(score, theta, v):
+    """H(theta) v = Im score(theta + i h v) / h, each column of v scaled first to
+    unit max norm (a zero column keeps scale 1), so h v is far below rounding."""
+    scale = np.max(np.abs(v), axis=0)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    return score(theta + (_STEP * 1j) * (v / scale)).imag * (scale / _STEP)
 
 
 class GaussianTarget:
@@ -135,7 +161,7 @@ class LogisticModel:
         if not np.all(np.isin(self.y, (0.0, 1.0))):
             raise ValueError("responses must be binary 0/1")
         self.n, self.dim = self.X.shape
-        self.sigma0_sq = float(sigma0_sq)
+        self.sigma0_sq = _positive("sigma0_sq", sigma0_sq)
         self._log_prior_norm = 0.5 * self.dim * np.log(2.0 * np.pi * self.sigma0_sq)
 
     def sparsity_hint(self) -> SparsityPattern:
@@ -162,15 +188,10 @@ class LogisticModel:
         return -(self.X.T @ (w * (1.0 - w) * (self.X @ v))) - v / self.sigma0_sq
 
 
-def _bernoulli_a2(eta):
-    w = expit(eta)
-    return w * (1.0 - w)
-
-
-# canonical-family log partition A and its first two derivatives, analytic
+# each canonical family's log partition A and its derivative, analytic in eta
 _LOG_PARTITION = {
-    "bernoulli-logit": (softplus, expit, _bernoulli_a2),
-    "poisson-log": (np.exp, np.exp, np.exp),
+    "bernoulli-logit": (softplus, _expit),
+    "poisson-log": (np.exp, np.exp),
 }
 
 
@@ -195,7 +216,7 @@ class GlmmModel:
         if family not in self.FAMILIES:
             raise ValueError(f"family must be one of {self.FAMILIES}")
         self.family = family
-        self._A, self._A1, self._A2 = _LOG_PARTITION[family]
+        self._A, self._A1 = _LOG_PARTITION[family]
         x_blocks = [np.asarray(x, dtype=float) for x in X_blocks]
         z_blocks = [np.asarray(z, dtype=float) for z in Z_blocks]
         y_blocks = [np.asarray(yy, dtype=float) for yy in y_blocks]
@@ -216,8 +237,8 @@ class GlmmModel:
         self.offsets = np.concatenate([[0], np.cumsum(counts)])
         self._subject = np.repeat(np.arange(self.n_subjects), counts)  # row -> subject
         self._owners = np.flatnonzero(counts)  # subjects with at least one row
-        self.sigma_beta_sq = float(sigma_beta_sq)
-        self.sigma_zeta_sq = float(sigma_zeta_sq)
+        self.sigma_beta_sq = _positive("sigma_beta_sq", sigma_beta_sq)
+        self.sigma_zeta_sq = _positive("sigma_zeta_sq", sigma_zeta_sq)
         self.n_zeta = self.r * (self.r + 1) // 2
         self.dim = self.n_subjects * self.r + self.p + self.n_zeta
         w_pattern = build_dense_pattern(self.r)  # the vech(W) slots
@@ -248,13 +269,14 @@ class GlmmModel:
     def w_matrix(self, zeta):
         """(W, dvec) from zeta = vech(W*); dvec is the vech(T*) chain-rule scale.
 
-        zeta of shape (n_zeta, B) gives W of shape (r, r, B), one per column.
+        zeta of shape (n_zeta, B) gives W of shape (r, r, B), one per column;
+        W and dvec take zeta's dtype.
         """
         vech_w = zeta.copy()
         vech_w[self._wdiag] = diag = np.exp(zeta[self._wdiag])
-        w = np.zeros((self.r, self.r) + zeta.shape[1:])
+        w = np.zeros((self.r, self.r) + zeta.shape[1:], dtype=zeta.dtype)
         w[self._wrows, self._wcols] = vech_w
-        dvec = np.ones(zeta.shape)
+        dvec = np.ones(zeta.shape, dtype=zeta.dtype)
         dvec[self._wdiag] = diag
         return w, dvec
 
@@ -268,7 +290,7 @@ class GlmmModel:
         np.add.reduceat would return a row, not zero, for a subject without
         rows, so only subjects that own rows take part.
         """
-        out = np.zeros((self.n_subjects,) + rows.shape[1:])
+        out = np.zeros((self.n_subjects,) + rows.shape[1:], dtype=rows.dtype)
         out[self._owners] = np.add.reduceat(rows, self.offsets[self._owners], axis=0)
         return out
 
@@ -286,8 +308,14 @@ class GlmmModel:
                               + self.n_zeta * np.log(2.0 * np.pi * self.sigma_zeta_sq)))
 
     def grad_log_h(self, theta) -> np.ndarray:
-        # written for a trailing batch axis ("..."), absent for a single theta
-        b, beta, zeta = self.unpack(_check_shape(theta, self.dim, batch=True))
+        return self._score(_check_shape(theta, self.dim, batch=True))
+
+    def hess_log_h(self, theta, v) -> np.ndarray:
+        return _complex_step(self._score, *_check_pair(theta, v, self.dim))
+
+    def _score(self, theta):
+        # analytic in theta; "..." is a trailing batch axis, absent for one theta
+        b, beta, zeta = self.unpack(theta)
         w, dvec = self.w_matrix(zeta)
         wtb = np.einsum("rc...,ir...->ic...", w, b)  # row i is b_i^t W
         eta = self._eta(b, beta)
@@ -300,32 +328,6 @@ class GlmmModel:
         g_zeta[self._wdiag] += self.n_subjects
         g_zeta -= zeta / self.sigma_zeta_sq
         return np.concatenate([g_b.reshape((-1,) + beta.shape[1:]), g_beta, g_zeta])
-
-    def hess_log_h(self, theta, v) -> np.ndarray:
-        # the derivative of grad_log_h along v, term by term; d(dvec) is
-        # nonzero only on the diagonal, where dvec = exp(zeta)
-        theta, v = _check_pair(theta, v, self.dim)
-        b, beta, zeta = self.unpack(theta)
-        vb, vbeta, vzeta = self.unpack(v)
-        w, dvec = self.w_matrix(zeta)
-        dw = np.zeros_like(w)
-        dw[self._wrows, self._wcols] = dvec * vzeta
-        wtb = np.einsum("rc...,ir...->ic...", w, b)
-        d_wtb = np.einsum("rc...,ir...->ic...", w, vb) + np.einsum("rc...,ir...->ic...", dw, b)
-        eta = self._eta(b, beta)
-        d_resid = -self._A2(eta) * self._eta(vb, vbeta)
-        h_b = (self._subject_sums(np.einsum("ir,i...->ir...", self.Z, d_resid))
-               - np.einsum("rc...,ic...->ir...", dw, wtb)
-               - np.einsum("rc...,ic...->ir...", w, d_wtb))
-        h_beta = self.X.T @ d_resid - vbeta / self.sigma_beta_sq
-        w_tilde = np.einsum("ir...,ic...->rc...", b, wtb)
-        d_w_tilde = (np.einsum("ir...,ic...->rc...", vb, wtb)
-                     + np.einsum("ir...,ic...->rc...", b, d_wtb))
-        h_zeta = -dvec * d_w_tilde[self._wrows, self._wcols] - vzeta / self.sigma_zeta_sq
-        diag = self._wdiag
-        h_zeta[diag] -= (dvec[diag] * vzeta[diag]
-                         * w_tilde[self._wrows[diag], self._wcols[diag]])
-        return np.concatenate([h_b.reshape((-1,) + beta.shape[1:]), h_beta, h_zeta])
 
 
 class SvModel:
@@ -344,7 +346,7 @@ class SvModel:
             raise ValueError("y must be a nonempty 1-d return series")
         self.n = self.y.size
         self.dim = self.n + 3
-        self.sigma0_sq = float(sigma0_sq)
+        self.sigma0_sq = _positive("sigma0_sq", sigma0_sq)
 
     def sparsity_hint(self) -> SparsityPattern:
         return build_pattern(self.n, [1] * self.n, 3, min(1, self.n - 1))
@@ -368,10 +370,16 @@ class SvModel:
         return float(val)
 
     def grad_log_h(self, theta) -> np.ndarray:
-        # with theta (dim, B): b is (n, B) and the globals are (B,)
-        b, alpha, lam, psi = self.unpack(_check_shape(theta, self.dim, batch=True))
+        return self._score(_check_shape(theta, self.dim, batch=True))
+
+    def hess_log_h(self, theta, v) -> np.ndarray:
+        return _complex_step(self._score, *_check_pair(theta, v, self.dim))
+
+    def _score(self, theta):
+        # analytic in theta; with theta (dim, B), b is (n, B) and the globals (B,)
+        b, alpha, lam, psi = self.unpack(theta)
         sigma = np.exp(alpha)
-        phi = expit(psi)
+        phi = _expit(psi)
         dphi = phi * (1.0 - phi)  # e^psi/(e^psi+1)^2
         h = _columns(self.y ** 2, b) * np.exp(-lam - sigma * b) - 1.0  # y^2 e - 1
 
@@ -385,34 +393,3 @@ class SvModel:
         p_phi = phi * b[0] ** 2 - phi / (1.0 - phi ** 2) + np.sum(innov * b[:-1], axis=0)
         g_psi = p_phi * dphi - psi / self.sigma0_sq
         return np.concatenate([g_b, np.stack([g_alpha, g_lam, g_psi])])
-
-    def hess_log_h(self, theta, v) -> np.ndarray:
-        # the derivative of grad_log_h along v, term by term, with
-        # d sigma = sigma v_alpha and d phi = phi (1 - phi) v_psi
-        theta, v = _check_pair(theta, v, self.dim)
-        b, alpha, lam, psi = self.unpack(theta)
-        vb, va, vl, vp = self.unpack(v)
-        sigma = np.exp(alpha)
-        phi = expit(psi)
-        dphi = phi * (1.0 - phi)
-        d_sigma = sigma * va
-        d_phi = dphi * vp
-        y2e = _columns(self.y ** 2, b) * np.exp(-lam - sigma * b)
-        h = y2e - 1.0
-        d_sb = d_sigma * b + sigma * vb  # d(sigma b)
-        d_h = -y2e * (vl + d_sb)
-
-        h_b = 0.5 * (d_sigma * h + sigma * d_h)
-        h_b[0] += 2.0 * phi * d_phi * b[0] - (1.0 - phi ** 2) * vb[0]
-        innov = b[1:] - phi * b[:-1]
-        d_innov = vb[1:] - d_phi * b[:-1] - phi * vb[:-1]
-        h_b[:-1] += d_phi * innov + phi * d_innov
-        h_b[1:] -= d_innov
-        h_alpha = 0.5 * np.sum(d_sb * h + sigma * b * d_h, axis=0) - va / self.sigma0_sq
-        h_lam = 0.5 * d_h.sum(axis=0) - vl / self.sigma0_sq
-        p_phi = phi * b[0] ** 2 - phi / (1.0 - phi ** 2) + np.sum(innov * b[:-1], axis=0)
-        d_p_phi = (d_phi * (b[0] ** 2 - (1.0 + phi ** 2) / (1.0 - phi ** 2) ** 2)
-                   + 2.0 * phi * b[0] * vb[0] + np.sum(d_innov * b[:-1] + innov * vb[:-1], axis=0))
-        # d(dphi) = dphi (1 - 2 phi) v_psi
-        h_psi = d_p_phi * dphi + p_phi * dphi * (1.0 - 2.0 * phi) * vp - vp / self.sigma0_sq
-        return np.concatenate([h_b, np.stack([h_alpha, h_lam, h_psi])])

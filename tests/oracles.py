@@ -5,15 +5,18 @@ computes another way: the trace and per-sample forms of the FDb / SDb batch
 objective, the proximal objective, the batch statistics' distance from their
 infinite-batch limits, the stationarity of the Student-t mean, the
 closed-form log-inverse-gamma Fisher divergence, the two-pass CSV design
-loader and the row-by-row mixed-model design recipes.
+loader, the row-by-row mixed-model design recipes and the hand-derived GLMM
+and SV Hessian-vector products.
 """
 import csv
 import math
 
 import numpy as np
+from scipy.special import expit
 
 from fishervi.datasets import DesignInfo, GlmmDesign, LoadedDesign, _read_csv_rows
 from fishervi.optimizers import BatchStats, compute_batch_stats
+from fishervi.targets import _check_pair, _columns
 from fishervi.unilab import DIVERGENCES, StudentT, _objective_and_grad
 
 # ---------------------------------------------------------------------------
@@ -345,3 +348,78 @@ def polypharmacy_reference(path) -> GlmmDesign:
     return GlmmDesign("bernoulli-logit", xb, zb, yb,
                       ["intercept", "Gender", "Race", "Age",
                        "MHV1", "MHV2", "MHV3", "INPTMHV"])
+
+
+# ---------------------------------------------------------------------------
+# Hessian-vector products, each the derivative of the score written out term
+# by term
+
+
+def _bernoulli_a2(eta):
+    w = expit(eta)
+    return w * (1.0 - w)
+
+
+# second derivative of each canonical family's log partition
+_A2 = {"bernoulli-logit": _bernoulli_a2, "poisson-log": np.exp}
+
+
+def glmm_hess_reference(model, theta, v):
+    """GlmmModel's H(theta) v, theta and v of one shape, (dim,) or (dim, B)."""
+    # the derivative of grad_log_h along v, term by term; d(dvec) is
+    # nonzero only on the diagonal, where dvec = exp(zeta)
+    theta, v = _check_pair(theta, v, model.dim)
+    b, beta, zeta = model.unpack(theta)
+    vb, vbeta, vzeta = model.unpack(v)
+    w, dvec = model.w_matrix(zeta)
+    dw = np.zeros_like(w)
+    dw[model._wrows, model._wcols] = dvec * vzeta
+    wtb = np.einsum("rc...,ir...->ic...", w, b)
+    d_wtb = np.einsum("rc...,ir...->ic...", w, vb) + np.einsum("rc...,ir...->ic...", dw, b)
+    eta = model._eta(b, beta)
+    d_resid = -_A2[model.family](eta) * model._eta(vb, vbeta)
+    h_b = (model._subject_sums(np.einsum("ir,i...->ir...", model.Z, d_resid))
+           - np.einsum("rc...,ic...->ir...", dw, wtb)
+           - np.einsum("rc...,ic...->ir...", w, d_wtb))
+    h_beta = model.X.T @ d_resid - vbeta / model.sigma_beta_sq
+    w_tilde = np.einsum("ir...,ic...->rc...", b, wtb)
+    d_w_tilde = (np.einsum("ir...,ic...->rc...", vb, wtb)
+                 + np.einsum("ir...,ic...->rc...", b, d_wtb))
+    h_zeta = -dvec * d_w_tilde[model._wrows, model._wcols] - vzeta / model.sigma_zeta_sq
+    diag = model._wdiag
+    h_zeta[diag] -= (dvec[diag] * vzeta[diag]
+                     * w_tilde[model._wrows[diag], model._wcols[diag]])
+    return np.concatenate([h_b.reshape((-1,) + beta.shape[1:]), h_beta, h_zeta])
+
+
+def sv_hess_reference(model, theta, v):
+    """SvModel's H(theta) v, theta and v of one shape, (dim,) or (dim, B)."""
+    # the derivative of grad_log_h along v, term by term, with
+    # d sigma = sigma v_alpha and d phi = phi (1 - phi) v_psi
+    theta, v = _check_pair(theta, v, model.dim)
+    b, alpha, lam, psi = model.unpack(theta)
+    vb, va, vl, vp = model.unpack(v)
+    sigma = np.exp(alpha)
+    phi = expit(psi)
+    dphi = phi * (1.0 - phi)
+    d_sigma = sigma * va
+    d_phi = dphi * vp
+    y2e = _columns(model.y ** 2, b) * np.exp(-lam - sigma * b)
+    h = y2e - 1.0
+    d_sb = d_sigma * b + sigma * vb  # d(sigma b)
+    d_h = -y2e * (vl + d_sb)
+
+    h_b = 0.5 * (d_sigma * h + sigma * d_h)
+    h_b[0] += 2.0 * phi * d_phi * b[0] - (1.0 - phi ** 2) * vb[0]
+    innov = b[1:] - phi * b[:-1]
+    d_innov = vb[1:] - d_phi * b[:-1] - phi * vb[:-1]
+    h_b[:-1] += d_phi * innov + phi * d_innov
+    h_b[1:] -= d_innov
+    h_alpha = 0.5 * np.sum(d_sb * h + sigma * b * d_h, axis=0) - va / model.sigma0_sq
+    h_lam = 0.5 * d_h.sum(axis=0) - vl / model.sigma0_sq
+    p_phi = phi * b[0] ** 2 - phi / (1.0 - phi ** 2) + np.sum(innov * b[:-1], axis=0)
+    d_p_phi = (d_phi * (b[0] ** 2 - (1.0 + phi ** 2) / (1.0 - phi ** 2) ** 2)
+               + 2.0 * phi * b[0] * vb[0] + np.sum(d_innov * b[:-1] + innov * vb[:-1], axis=0))
+    # d(dphi) = dphi (1 - 2 phi) v_psi
+    h_psi = d_p_phi * dphi + p_phi * dphi * (1.0 - 2.0 * phi) * vp - vp / model.sigma0_sq
+    return np.concatenate([h_b, np.stack([h_alpha, h_lam, h_psi])])

@@ -10,6 +10,7 @@ from fishervi.cli import (
     ConfigError,
     build_model,
     load_config,
+    load_reference_precision,
     main,
     parse_config_text,
 )
@@ -65,9 +66,30 @@ class TestConfigParsing:
         first, last = text.splitlines().index("divergence = SDb") + 1, text.count("\n") + 1
         out = tmp_path / "o"
         assert main(["fit", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (f"error: line {last}: divergence is already "
-                                           f"set on line {first}\n")
+        assert capsys.readouterr().err == (f"error: {cfg}: line {last}: divergence is "
+                                           f"already set on line {first}\n")
         assert not out.exists()
+        # sweep names the config once, as fit does
+        assert main(["sweep", str(cfg)]) == 1
+        assert capsys.readouterr().err == (f"error: {cfg}: line {last}: divergence is "
+                                           f"already set on line {first}\n")
+
+    def test_line_without_equals_names_config(self, gaussian_setup, tmp_path, capsys):
+        # fit printed "error: line 8: ..." without the config's path
+        cfg, _, _ = gaussian_setup
+        cfg.write_text(cfg.read_text() + "seed 3\n")
+        for argv in (["fit", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")],
+                     ["sweep", str(cfg)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (f"error: {cfg}: line 8: expected "
+                                               "'key = value', got 'seed 3'\n")
+
+    def test_missing_config_named_once(self, tmp_path, capsys):
+        # sweep printed "error: <path>: config file not found: <path>"
+        cfg = tmp_path / "nope.cfg"
+        for argv in (["fit", "--config", str(cfg), "--seed", "1"], ["sweep", str(cfg)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {cfg}: config file not found\n"
 
     @pytest.mark.parametrize("value, has_intercept", [
         ("1", True), ("true", True), ("YES", True), ("True", True),
@@ -151,6 +173,46 @@ class TestFitCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "error: divergence must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_prior_variance_checked(self, tmp_path, rng, capsys, value):
+        # sigma0_sq = 0 ended in a ZeroDivisionError traceback out of log_h
+        cfg = logistic_sweep_config(tmp_path, rng)
+        cfg.write_text(cfg.read_text().replace("model.sigma0_sq = 100.0",
+                                               f"model.sigma0_sq = {value}"))
+        assert main(["fit", "--config", str(cfg), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == ("error: sigma0_sq must be finite and positive, "
+                                           f"got {float(value)!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("which, text, message", [
+        ("nu", "0.5\nx\n0\n1\n", "line 2: 'x' is not a finite number"),
+        ("nu", "0.5,nan,0,1\n", "line 1: 'nan' is not a finite number"),
+        ("nu", "# mean\n0.5\n0\n0\n1\n", "line 1: '# mean' is not a finite number"),
+        ("nu", "0.5,1\n0,1\n", "expected a single row or column, got 2 x 2"),
+        ("lambda", "1,0\n\n0,1,2\n", "line 3 has 3 fields, line 1 has 2"),
+        ("lambda", "1,0\n0, inf\n", "line 2: 'inf' is not a finite number"),
+    ])
+    def test_bad_matrix_csv_names_path_and_line(self, gaussian_setup, tmp_path, capsys,
+                                                which, text, message):
+        # a bad cell read "could not convert string 'x' to float64 at row 1,
+        # column 1." without the file
+        cfg, _, _ = gaussian_setup
+        (tmp_path / f"{which}.csv").write_text(text)
+        assert main(["fit", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / which}.csv: {message}\n"
+
+    @pytest.mark.parametrize("layout", ["column", "row"])
+    def test_nu_from_a_row_or_a_column(self, gaussian_setup, tmp_path, layout):
+        cfg, nu, lamb = gaussian_setup
+        np.savetxt(tmp_path / "nu.csv", nu[:, None] if layout == "column" else nu[None],
+                   delimiter=",")
+        (tmp_path / "lambda.csv").write_text(
+            "\n\n".join(",".join(repr(float(c)) for c in row) for row in lamb) + "\n")
+        model = build_model(load_config(cfg))
+        np.testing.assert_array_equal(model.nu, nu)
+        np.testing.assert_array_equal(model.lamb, lamb)
 
     def test_sweep(self, gaussian_setup, tmp_path):
         cfg, _, _ = gaussian_setup
@@ -397,6 +459,24 @@ class TestAnalysisCommands:
         assert lines[0] == "divergence,coordinate,sigma,kkt_case"
         assert len(lines) == 1 + 3 * 2
         assert (out / "sd_fd_regions.csv").read_text().splitlines()[0] == "a,b,c,case"
+
+    def test_meanfield_bad_lambda_cell_names_line(self, tmp_path, capsys):
+        (tmp_path / "lam.csv").write_text("1,0.5\n0.5,one\n")
+        rc = main(["meanfield", "--lambda-csv", str(tmp_path / "lam.csv"),
+                   "--out", str(tmp_path / "mf")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'lam.csv'}: line 2: "
+                                           "'one' is not a finite number\n")
+
+    def test_packaged_reference_matches_loadtxt(self):
+        # the d=49 files read to the floats np.loadtxt gave, bit for bit
+        import importlib.resources
+
+        base = importlib.resources.files("fishervi") / "_refdata"
+        nu, lamb = load_reference_precision()
+        for got, name in ((nu, "ref_mean_d49.csv"), (lamb, "ref_precision_d49.csv")):
+            want = np.loadtxt(str(base / name), delimiter=",")
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_unilab_command(self, tmp_path):
         out = tmp_path / "uni"

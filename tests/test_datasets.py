@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fishervi.datasets import (
     load_csv_design,
+    load_csv_matrix,
     load_epilepsy,
     load_libsvm,
     load_polypharmacy,
@@ -159,6 +160,40 @@ class TestCsvDesign:
         p = write(tmp_path / "toe.csv", "id,y,trt,time\n1,0,1,0\n1,1,1\n")
         with pytest.raises(ValueError, match="line 3 has 3 fields, the header has 4"):
             load_toenail(p)
+
+
+class TestCsvMatrix:
+    def test_shapes_and_blank_lines(self, tmp_path):
+        p = write(tmp_path / "m.csv", "\n1, 2.5,-3\n\n4e-1,5,6\n\n")
+        m = load_csv_matrix(p)
+        np.testing.assert_array_equal(m, [[1.0, 2.5, -3.0], [0.4, 5.0, 6.0]])
+        assert load_csv_matrix(write(tmp_path / "one.csv", "7\n")).shape == (1, 1)
+
+    @pytest.mark.parametrize("text", ["1\n2\n3\n", "1,2,3\n", "\n1,2,3\n\n", "1\n\n2\n3"])
+    def test_vector_from_a_row_or_a_column(self, tmp_path, text):
+        v = load_csv_matrix(write(tmp_path / "v.csv", text), vector=True)
+        np.testing.assert_array_equal(v, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n3\n", "line 2 has 1 fields, line 1 has 2"),
+        ("\n1,2\n\n3,4,5\n", "line 4 has 3 fields, line 2 has 2"),
+        ("1,2\n3,x\n", "line 2: 'x' is not a finite number"),
+        ("1,2\n3, nan \n", "line 2: 'nan' is not a finite number"),
+        ("1,2\n3,1e999\n", "line 2: '1e999' is not a finite number"),
+        ("# a comment\n1\n", "line 1: '# a comment' is not a finite number"),
+        ("", "no data rows"),
+    ])
+    def test_bad_file_names_path_and_line(self, tmp_path, text, message):
+        p = write(tmp_path / "bad.csv", text)
+        with pytest.raises(ValueError) as exc:
+            load_csv_matrix(p)
+        assert str(exc.value) == f"{p}: {message}"
+
+    def test_vector_needs_one_row_or_column(self, tmp_path):
+        p = write(tmp_path / "m.csv", "1,2\n3,4\n5,6\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv_matrix(p, vector=True)
+        assert str(exc.value) == f"{p}: expected a single row or column, got 3 x 2"
 
 
 class TestLibsvm:
@@ -356,6 +391,16 @@ class TestGlmmRecipes:
         with pytest.raises(ValueError) as exc:
             load_polypharmacy(p)
         assert str(exc.value) == f"{p}: line 3: age must be positive, got {age!r}"
+
+    @pytest.mark.parametrize("second", ["5", "{k}"])
+    def test_toenail_repeated_header_is_named(self, tmp_path, second):
+        # a constant second `time` read "column 'time' is constant", and a
+        # varying one silently replaced the first
+        p = write(tmp_path / "toe.csv", "id,y,trt,time,time\n" + "".join(
+            f"{k % 2},{k % 2},1,{k},{second.format(k=k + 1)}\n" for k in range(4)))
+        with pytest.raises(ValueError) as exc:
+            load_toenail(p)
+        assert str(exc.value) == f"{p}: column 'time' is repeated in the header"
 
     @pytest.mark.parametrize("times", [("4", "4", "4"), ("0.1", "0.1", "0.1")])
     def test_toenail_constant_time_rejected(self, tmp_path, times):

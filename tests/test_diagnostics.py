@@ -213,5 +213,12 @@ class TestReferenceIo:
             load_reference_csv(path)
         assert str(exc.value) == f"{path}: line 4: {cell!r} is not a finite number"
 
+    def test_repeated_header_name_is_named(self, tmp_path):
+        path = tmp_path / "ref.csv"
+        path.write_text("a,b,a\n1.0,2.0,3.0\n")
+        with pytest.raises(ValueError) as exc:
+            load_reference_csv(path)
+        assert str(exc.value) == f"{path}: column 'a' is repeated in the header"
+
     def test_median_heuristic_positive(self, rng):
         assert median_heuristic_bandwidth(rng.standard_normal((60, 2))) > 0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import fishervi
 from conftest import logistic_sweep_config
-from fishervi import linalg, meanfield, optimizers, unilab
+from fishervi import linalg, meanfield, optimizers, targets, unilab
 
 
 def test_every_export_resolves():
@@ -30,11 +30,12 @@ def test_oracles_are_not_part_of_the_package():
 def test_second_code_paths_are_gone():
     # solves compute through (step judges finiteness, compare checks its factor
     # once), uni_objective evaluates through uni_fit's quadrature, and the
-    # mean-field SD optimum is one exact nnls solve, not a capped sweep loop
+    # mean-field SD optimum is one exact nnls solve, not a capped sweep loop,
+    # and the GLMM and SV products are the complex-step derivative of the score
     gone = [(fishervi, "SingularFactorError"), (linalg, "SingularFactorError"),
             (linalg.CholFactor, "_check_diag"), (unilab, "gauss_hermite_expectation"),
             (unilab, "_expect"), (unilab, "_objective_and_grad_inner"),
-            (meanfield, "NQP_MAX_SWEEPS")]
+            (meanfield, "NQP_MAX_SWEEPS"), (targets, "_bernoulli_a2")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []
     assert "SingularFactorError" not in fishervi.__all__
 
