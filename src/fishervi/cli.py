@@ -24,10 +24,9 @@ class ConfigError(ValueError):
     pass
 
 
-# reported as one "error: ..." line and exit status 1; FloatingPointError is
-# the base of every numerical failure
-_REPORTED_ERRORS = (FileNotFoundError, ValueError, FloatingPointError,
-                   optimizers.FitAbortedError)
+# reported as one "error: ..." line and exit status 1: an OSError (a missing path,
+# a directory) names its path; FloatingPointError is the base of numerical failures
+_REPORTED_ERRORS = (OSError, ValueError, FloatingPointError, optimizers.FitAbortedError)
 
 # every key a fit config may set; `run` rejects any other
 CONFIG_KEYS = frozenset((
@@ -164,6 +163,13 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _write_comparison(out_dir, report):
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "comparison.json"), "w") as fh:
+        fh.write(report.to_json())
+    report.write_csv(os.path.join(out_dir, "comparison.csv"))
+
+
 def run(cfg: dict, seed: int, out_dir: str) -> dict:
     """Fit per the config, write fitresult.json + lb_trace.csv (+ comparison).
 
@@ -176,10 +182,7 @@ def run(cfg: dict, seed: int, out_dir: str) -> dict:
     if replicates.get("replicates", 2) < 2:
         raise ConfigError(f"compare.replicates must be >= 2, got {cfg['compare.replicates']}")
     model = build_model(cfg)
-    fc = fit_config_from(cfg, seed)
-    if fc.batch_size is None and fc.divergence in optimizers.ALG2_DIVERGENCES:
-        fc.batch_size = optimizers.default_batch_size(model, fc.divergence)
-    result = optimizers.fit(model, fc)
+    result = optimizers.fit(model, fit_config_from(cfg, seed))
     # full config echo so the output alone reproduces the run
     result.config_echo["source"] = {k: v for k, v in cfg.items()
                                     if not k.startswith("_")}
@@ -194,11 +197,8 @@ def run(cfg: dict, seed: int, out_dir: str) -> dict:
     ref_key = _path(cfg, "compare.ref_csv")
     if ref_key is not None:
         ref = diagnostics.load_reference_csv(ref_key)
-        report = diagnostics.compare(result.state.mu, result.state.factor, ref, seed=seed,
-                                     **replicates)
-        with open(os.path.join(out_dir, "comparison.json"), "w") as fh:
-            fh.write(report.to_json())
-        report.write_csv(os.path.join(out_dir, "comparison.csv"))
+        _write_comparison(out_dir, diagnostics.compare(
+            result.state.mu, result.state.factor, ref, seed=seed, **replicates))
     return {"fitresult": fit_path, "stop_reason": result.stop_reason,
             "iterations": result.iterations}
 
@@ -256,10 +256,7 @@ def _cmd_compare(args) -> int:
     ref = diagnostics.load_reference_csv(args.ref)
     report = diagnostics.compare(mu, factor, ref, seed=args.seed,
                                  replicates=args.replicates)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "comparison.json"), "w") as fh:
-        fh.write(report.to_json())
-    report.write_csv(os.path.join(args.out, "comparison.csv"))
+    _write_comparison(args.out, report)
     print(json.dumps(report.summary(), indent=1, sort_keys=True))
     return 0
 

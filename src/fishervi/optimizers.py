@@ -24,8 +24,11 @@ from .targets import GaussianTarget, LOG_2PI
 ALG1_DIVERGENCES = ("KLD", "FDr", "SDr")
 ALG2_DIVERGENCES = ("FDb", "SDb")
 DIVERGENCES = ALG1_DIVERGENCES + ALG2_DIVERGENCES
+DEFAULT_BATCH_SIZE = 5  # Algorithm 2's B for a target without `default_batch_size`
 
 MAX_CONSECUTIVE_REJECTS = 50
+ADADELTA_RHO = 0.95   # Adadelta decay and floor: the defaults of every state and config
+ADADELTA_EPS = 1e-6
 
 
 class FitAbortedError(RuntimeError):
@@ -46,11 +49,12 @@ class AdadeltaState:
 
     eg2: np.ndarray
     edx2: np.ndarray
-    rho: float = 0.95
-    eps: float = 1e-6
+    rho: float = ADADELTA_RHO
+    eps: float = ADADELTA_EPS
 
     @classmethod
-    def zeros(cls, n: int, rho: float = 0.95, eps: float = 1e-6) -> "AdadeltaState":
+    def zeros(cls, n: int, rho: float = ADADELTA_RHO,
+              eps: float = ADADELTA_EPS) -> "AdadeltaState":
         return cls(np.zeros(n), np.zeros(n), rho, eps)
 
 
@@ -74,7 +78,8 @@ class VariationalState:
 
     @classmethod
     def initial(cls, pattern: SparsityPattern, mu0=None, t_scale: float = 1.0,
-                adadelta_rho: float = 0.95, adadelta_eps: float = 1e-6) -> "VariationalState":
+                adadelta_rho: float = ADADELTA_RHO,
+                adadelta_eps: float = ADADELTA_EPS) -> "VariationalState":
         d = pattern.dim
         mu = np.zeros(d) if mu0 is None else np.asarray(mu0, dtype=float).copy()
         factor = CholFactor.identity(pattern, scale=t_scale)
@@ -222,14 +227,14 @@ def _advance(state: VariationalState, desc_mu, desc_t):
 def step(state: VariationalState, model, divergence: str, batch: int, rng):
     """One SGD step; returns (next state, the step's one-sample lower bound).
 
-    Algorithm 1 draws one z and evaluates the bound at its theta; Algorithm 2
-    draws a (d, batch) z and then a separate z for the bound (Algorithm 1
-    ignores `batch`).  This is `fit`'s draw order, and a step rejected for a
-    non-finite value makes the same draws.  Targets and factors compute
-    through non-finite values; this is the one place that judges them.
-    numpy overflow is silent, and the checks on the bound, the gradient, the
-    update and the Adadelta state raise FloatingPointError.  The bound is
-    checked before the advance, so a rejected step leaves (mu, T*) as is.
+    Algorithm 1 draws one z, evaluates the bound at its theta and ignores
+    `batch`.  Algorithm 2 draws a (d, batch) z, `batch` being the B that `fit`
+    resolves, and then a separate z for the bound.  This is `fit`'s draw order,
+    and a step rejected for a non-finite value makes the same draws.  Targets
+    and factors compute through non-finite values; this is the one place that
+    judges them.  numpy overflow is silent, and the checks on the bound, the
+    gradient, the update and the Adadelta state raise FloatingPointError.  The
+    bound is checked before the advance, so a rejected step leaves (mu, T*) as is.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if divergence in ALG2_DIVERGENCES:
@@ -252,13 +257,17 @@ def step(state: VariationalState, model, divergence: str, batch: int, rng):
 
 @dataclass
 class FitConfig:
+    """Settings of one `fit`, checked at construction.  `batch_size` is the B of FDb /
+    SDb (Algorithm 2; at least 2, and `fit` resolves it when unset).  KLD / FDr / SDr
+    (Algorithm 1) take one draw per step and accept only an unset batch_size or 1."""
+
     divergence: str
     seed: int
     max_iter: int = 60_000
     window: int = 1000
     batch_size: int | None = None
-    adadelta_rho: float = 0.95
-    adadelta_eps: float = 1e-6
+    adadelta_rho: float = ADADELTA_RHO
+    adadelta_eps: float = ADADELTA_EPS
     init_mu: np.ndarray | None = None
     init_t_scale: float = 1.0
     pattern: SparsityPattern | None = None
@@ -273,10 +282,10 @@ class FitConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
             setattr(self, name, int(value))  # a numpy integer would not serialize
-        if (self.divergence in ALG2_DIVERGENCES and self.batch_size is not None
-                and self.batch_size < 2):
-            raise ValueError(f"batch_size must be at least 2 for {self.divergence}, "
-                             f"got {self.batch_size}")
+        alg2 = self.divergence in ALG2_DIVERGENCES
+        if self.batch_size is not None and (self.batch_size < 2 if alg2 else self.batch_size > 1):
+            raise ValueError(f"batch_size must be {'at least 2' if alg2 else 'unset or 1'} "
+                             f"for {self.divergence}, got {self.batch_size}")
         if not 0.0 < self.adadelta_rho < 1.0:
             raise ValueError(f"adadelta_rho must lie in (0, 1), got {self.adadelta_rho}")
         for name in ("adadelta_eps", "init_t_scale"):
@@ -331,13 +340,6 @@ class FitResult:
         return np.asarray(doc["mu"]), factor
 
 
-def default_batch_size(model, divergence: str) -> int:
-    """1 for Algorithm 1; else the target's `default_batch_size`, or 5."""
-    if divergence in ALG1_DIVERGENCES:
-        return 1
-    return getattr(model, "default_batch_size", 5)
-
-
 def _ols_slope(values) -> float:
     y = np.asarray(values, dtype=float)
     x = np.arange(y.size, dtype=float)
@@ -355,7 +357,8 @@ def fit(model, config: FitConfig) -> FitResult:
     state stays and the window counts the last accepted lower bound (0 before
     any).  More than MAX_CONSECUTIVE_REJECTS in a row raise FitAbortedError,
     whose message names the cause of the last rejection and whose __cause__
-    is that FloatingPointError.
+    is that FloatingPointError.  An unset FDb/SDb batch size is resolved here
+    alone: the target's `default_batch_size`, else DEFAULT_BATCH_SIZE; the echo records it.
     """
     rng = np.random.default_rng(config.seed)
     pattern = config.pattern if config.pattern is not None else model.sparsity_hint()
@@ -366,7 +369,9 @@ def fit(model, config: FitConfig) -> FitResult:
                          f"but the model has dimension {model.dim}")
     state = VariationalState.initial(pattern, config.init_mu, config.init_t_scale,
                                      config.adadelta_rho, config.adadelta_eps)
-    batch = config.batch_size or default_batch_size(model, config.divergence)
+    batch = config.batch_size
+    if batch is None and config.divergence in ALG2_DIVERGENCES:
+        batch = getattr(model, "default_batch_size", DEFAULT_BATCH_SIZE)
 
     lb_trace: list[float] = []
     window_sum = 0.0
@@ -404,7 +409,7 @@ def fit(model, config: FitConfig) -> FitResult:
         lb_trace.append(window_sum / window_count)
 
     return FitResult(state, config.divergence, lb_trace, it, config.seed,
-                     stop_reason, rejected, config.echo())
+                     stop_reason, rejected, {**config.echo(), "batch_size": batch})
 
 
 # ---------------------------------------------------------------------------

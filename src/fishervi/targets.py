@@ -59,8 +59,8 @@ class TargetModel(Protocol):
     such shape and returns H(theta[:, j]) v[:, j] in column j (for GLMM
     and SV, the complex-step derivative of the score).  A wrong shape
     raises ValueError; non-finite values are computed through,
-    not checked.  An optional `default_batch_size` attribute sets the
-    FDb/SDb batch size when the fit config leaves it unset.
+    not checked.  An optional `default_batch_size` attribute is the FDb/SDb
+    batch size when the fit config leaves it unset (else `fit` takes 5).
     """
 
     dim: int
@@ -106,8 +106,6 @@ def _complex_step(score, theta, v):
 
 class GaussianTarget:
     """Gaussian posterior N(nu, Lambda^{-1}); the closed-form analytics target."""
-
-    default_batch_size = 5
 
     def __init__(self, nu, lamb):
         self.nu = np.asarray(nu, dtype=float)
@@ -209,7 +207,6 @@ class GlmmModel:
     """
 
     FAMILIES = tuple(_LOG_PARTITION)
-    default_batch_size = 5
 
     def __init__(self, family, X_blocks, Z_blocks, y_blocks,
                  sigma_beta_sq: float = 100.0, sigma_zeta_sq: float = 100.0):

@@ -9,12 +9,14 @@ from conftest import logistic_sweep_config
 from fishervi.cli import (
     ConfigError,
     build_model,
+    fit_config_from,
     load_config,
     load_reference_precision,
     main,
     parse_config_text,
 )
 from fishervi.linalg import SparsityPattern
+from fishervi.optimizers import fit
 
 
 @pytest.fixture
@@ -213,6 +215,59 @@ class TestFitCommand:
         model = build_model(load_config(cfg))
         np.testing.assert_array_equal(model.nu, nu)
         np.testing.assert_array_equal(model.lamb, lamb)
+
+    def test_algorithm_1_batch_rejected(self, tmp_path, rng, capsys):
+        cfg = logistic_sweep_config(tmp_path, rng)
+        cfg.write_text(cfg.read_text() + "optimizer.batch_size = 4\n")
+        assert main(["fit", "--config", str(cfg), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: batch_size must be unset or 1 for SDr, got 4\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unset_batch_echoed_as_fit_echoes_it(self, gaussian_setup, tmp_path, rng):
+        # the CLI's echo is fit's: the target's default batch (logistic 3),
+        # else 5 (Gaussian), with the config source added
+        gauss, _, _ = gaussian_setup
+        logit = logistic_sweep_config(tmp_path, rng, max_iter=20)
+        for cfg, batch in ((gauss, 5), (logit, 3)):
+            text = cfg.read_text()
+            cfg.write_text(text.replace("divergence = KLD", "divergence = SDb")
+                           .replace("divergence = SDr", "divergence = SDb"))
+            out = tmp_path / f"echo_{batch}"
+            assert main(["fit", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+            echo = json.loads((out / "fitresult.json").read_text())["config"]
+            assert echo.pop("source")["divergence"] == "SDb"
+            loaded = load_config(cfg)
+            api = fit(build_model(loaded), fit_config_from(loaded, 3)).config_echo
+            assert echo == json.loads(json.dumps(api))
+            assert echo["batch_size"] == batch
+
+    def test_config_directory_reported(self, tmp_path, capsys):
+        # a directory passed the existence check and escaped as IsADirectoryError
+        assert main(["fit", "--config", str(tmp_path), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
+
+    def test_sweep_reports_a_directory_and_runs_the_rest(self, gaussian_setup, tmp_path,
+                                                          capsys):
+        cfg, _, _ = gaussian_setup
+        good, folder = tmp_path / "good.cfg", tmp_path / "configs"
+        good.write_text(cfg.read_text())
+        folder.mkdir()
+        assert main(["sweep", str(folder), str(good)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and str(folder) in err and err.count("\n") == 1
+        assert out.startswith(f"{good}: stop=")
+        assert (tmp_path / "good_out" / "fitresult.json").exists()
+
+    def test_data_csv_directory_reported(self, tmp_path, rng, capsys):
+        cfg = logistic_sweep_config(tmp_path, rng)
+        (tmp_path / "rows").mkdir()
+        cfg.write_text(cfg.read_text().replace("data.csv", "rows"))
+        assert main(["fit", "--config", str(cfg), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "rows") in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_sweep(self, gaussian_setup, tmp_path):
         cfg, _, _ = gaussian_setup

@@ -28,7 +28,6 @@ from fishervi.optimizers import (
     bam_step,
     bam_update_from_stats,
     compute_batch_stats,
-    default_batch_size,
     fit,
     gradient_alg1,
     gradient_alg2,
@@ -509,14 +508,26 @@ class TestFit:
             fit(target, FitConfig("SDb", seed=0, init_mu=np.zeros(1)))
 
     def test_default_batch_size_from_target(self):
+        # fit resolves an unset FDb/SDb batch from the target, else 5, and
+        # echoes it; Algorithm 1 resolves none
         logistic = LogisticModel(np.ones((2, 1)), np.array([0.0, 1.0]))
         glmm = GlmmModel("poisson-log", [np.ones((1, 1))], [np.ones((1, 1))], [np.ones(1)])
         sv = SvModel(np.ones(3))
         gauss = GaussianTarget(np.zeros(2), np.eye(2))
-        assert [default_batch_size(m, "SDb") for m in (logistic, glmm, sv, gauss)] \
-            == [3, 5, 10, 5]
-        assert default_batch_size(sv, "KLD") == 1
-        assert default_batch_size(object(), "FDb") == 5
+        assert not hasattr(gauss, "default_batch_size")
+
+        def echoed(model, divergence, batch_size=None):
+            cfg = FitConfig(divergence, seed=0, max_iter=2, window=1, batch_size=batch_size)
+            return fit(model, cfg).config_echo["batch_size"]
+
+        assert [echoed(m, "SDb") for m in (logistic, glmm, sv, gauss)] == [3, 5, 10, 5]
+        assert echoed(gauss, "FDb") == 5
+        assert echoed(sv, "FDb", batch_size=7) == 7  # the config's comes first
+        assert echoed(sv, "KLD") is None
+        assert echoed(sv, "SDr", batch_size=1) == 1
+        cfg = FitConfig("SDb", seed=0, max_iter=2, window=1)
+        fit(sv, cfg)
+        assert cfg.batch_size is None  # resolved without writing it into the config
 
     def test_lower_bound_estimate(self, rng):
         # at q = p the one-sample lower bound equals log p(y) = 0 for a
@@ -614,6 +625,12 @@ class TestFitConfig:
 
     def test_batch_size_ignored_for_algorithm_1(self):
         assert FitConfig("KLD", seed=0, batch_size=1).batch_size == 1
+
+    @pytest.mark.parametrize("divergence", ["KLD", "FDr", "SDr"])
+    def test_algorithm_1_rejects_a_batch(self, divergence):
+        # Algorithm 1 takes one draw per step; a batch of 4 would be ignored
+        with pytest.raises(ValueError, match=f"batch_size must be unset or 1 for {divergence}"):
+            FitConfig(divergence, seed=0, batch_size=4)
 
     def test_numpy_integers_accepted(self):
         cfg = FitConfig("SDb", seed=np.uint32(3), max_iter=np.int64(10),
