@@ -3,7 +3,8 @@
 Config files are flat `key = value` lines (dotted keys for sections, `#`
 comments).  Outputs are plain CSV/JSON so any plotting stack can consume
 them.  Subcommands: fit, compare, meanfield, unilab, recursion, gradvar,
-sweep (several fit configs, run one after another in this process).
+sweep (several fit configs; with --workers N above 1 they run in a pool of
+up to N worker processes, and the outcomes are printed in config order).
 """
 from __future__ import annotations
 
@@ -251,8 +252,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_compare(args) -> int:
     with open(args.fit) as fh:
-        doc = json.load(fh)
-    mu, factor = optimizers.FitResult.factor_from_json(doc)
+        try:
+            mu, factor = optimizers.FitResult.factor_from_json(json.load(fh))
+        except ValueError as exc:  # not JSON, or not a fit result
+            raise ConfigError(f"{args.fit}: {exc}") from None
     ref = diagnostics.load_reference_csv(args.ref)
     report = diagnostics.compare(mu, factor, ref, seed=args.seed,
                                  replicates=args.replicates)
@@ -321,20 +324,58 @@ def _cmd_gradvar(args) -> int:
     return 0
 
 
+def _sweep_one(job) -> tuple[bool, str]:
+    """Fit one sweep config, (path, cfg, out_dir): (True, its stdout line) or
+    (False, its error line).  Prints nothing, so a worker process can run it."""
+    path, cfg, out_dir = job
+    try:
+        info = run(cfg, _get(cfg, "seed", 0, int), out_dir)
+    except _REPORTED_ERRORS as exc:
+        return False, f"error: {path}: {exc}"
+    return True, f"{path}: stop={info['stop_reason']} iters={info['iterations']}"
+
+
 def _cmd_sweep(args) -> int:
-    """Run the configs in order; a failing one is reported by path and sets exit status 1."""
-    status = 0
+    """Run the configs, up to --workers at once; print each outcome in config order.
+
+    Every config is loaded and its output directory resolved before any fit
+    starts.  A config that does not load, or whose output directory an earlier
+    config already claimed, is reported by path and not run.  Any failure
+    sets exit status 1.
+    """
+    outcomes, jobs, owner = [], [], {}
     for path in args.configs:
-        cfg = None
         try:
-            cfg = load_config(path)
-            info = run(cfg, _get(cfg, "seed", 0, int),
-                       _get(cfg, "output_dir", os.path.splitext(path)[0] + "_out"))
-        except _REPORTED_ERRORS as exc:  # load_config's errors name the path already
-            print(f"error: {exc}" if cfg is None else f"error: {path}: {exc}", file=sys.stderr)
-            status = 1
+            cfg = load_config(path)  # its errors name the path already
+        except _REPORTED_ERRORS as exc:
+            outcomes.append((False, f"error: {exc}"))
             continue
-        print(f"{path}: stop={info['stop_reason']} iters={info['iterations']}")
+        out_dir = _get(cfg, "output_dir", os.path.splitext(path)[0] + "_out")
+        first = owner.setdefault(os.path.realpath(out_dir), path)
+        if first != path:
+            outcomes.append((False, f"error: {path}: output directory {out_dir} "
+                                    f"is also that of {first}"))
+            continue
+        outcomes.append(None)  # filled in from the fit below
+        jobs.append((path, cfg, out_dir))
+
+    workers = min(args.workers, len(jobs))
+    if workers <= 1:
+        return _print_outcomes(outcomes, map(_sweep_one, jobs))
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers) as pool:  # joins the workers on every path
+        return _print_outcomes(outcomes, pool.map(_sweep_one, jobs))
+
+
+def _print_outcomes(outcomes, fits) -> int:
+    """Print the outcomes in order, taking the next of `fits` for each None;
+    the exit status is 1 if any failed."""
+    status = 0
+    for outcome in outcomes:
+        ok, line = next(fits) if outcome is None else outcome
+        print(line, file=sys.stdout if ok else sys.stderr)
+        if not ok:
+            status = 1
     return status
 
 
@@ -386,9 +427,12 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_gradvar)
 
-    s = sub.add_parser("sweep", help="run several fit configs one after another")
+    s = sub.add_parser("sweep", help="run several fit configs, in worker processes")
     s.add_argument("configs", nargs="+")
-    s.add_argument("--workers", type=int, default=4, help="ignored (fits run serially)")
+    s.add_argument("--workers", type=_bounded(int, 1), default=os.cpu_count() or 1,
+                   help="most configs fitted at once, each in its own process; 1 fits "
+                        "them in this process (default: the CPU count, since a fit "
+                        "keeps one core busy)")
     s.set_defaults(func=_cmd_sweep)
     return p
 

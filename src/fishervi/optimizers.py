@@ -14,7 +14,7 @@ SparsityPattern are ever formed or updated, and Sigma is never densified
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -335,9 +335,38 @@ class FitResult:
 
     @staticmethod
     def factor_from_json(doc: dict) -> tuple[np.ndarray, CholFactor]:
-        pattern = SparsityPattern.from_descriptor(doc["pattern"])
-        factor = CholFactor.from_values(pattern, np.asarray(doc["t_values"]))
-        return np.asarray(doc["mu"]), factor
+        """(mu, factor) of a `to_json_dict` document.  A missing key, a pattern
+        that does not build, a wrong length or a non-finite value is a
+        ValueError that names the key."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        for key in ("pattern", "t_values", "mu"):
+            if key not in doc:
+                raise ValueError(f"missing key {key!r}")
+        try:
+            pattern = SparsityPattern.from_descriptor(doc["pattern"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"key 'pattern' is not a pattern descriptor "
+                             f"({type(exc).__name__}: {exc})") from None
+        t_values = _finite_vector(doc, "t_values", pattern.nnz)
+        try:
+            factor = CholFactor.from_values(pattern, t_values)
+        except ValueError as exc:
+            raise ValueError(f"key 't_values': {exc}") from None
+        return _finite_vector(doc, "mu", pattern.dim), factor
+
+
+def _finite_vector(doc: dict, key: str, length: int) -> np.ndarray:
+    """doc[key] as a float vector of `length` finite values, else a ValueError naming key."""
+    try:
+        values = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != (length,):
+        raise ValueError(f"key {key!r} must hold a list of {length} numbers")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"key {key!r} holds a non-finite value")
+    return values
 
 
 def _ols_slope(values) -> float:
@@ -358,8 +387,12 @@ def fit(model, config: FitConfig) -> FitResult:
     any).  More than MAX_CONSECUTIVE_REJECTS in a row raise FitAbortedError,
     whose message names the cause of the last rejection and whose __cause__
     is that FloatingPointError.  An unset FDb/SDb batch size is resolved here
-    alone: the target's `default_batch_size`, else DEFAULT_BATCH_SIZE; the echo records it.
+    alone: the target's `default_batch_size`, else DEFAULT_BATCH_SIZE, checked as
+    FitConfig checks a given one; the echo records it.
     """
+    if config.batch_size is None and config.divergence in ALG2_DIVERGENCES:
+        config = replace(config, batch_size=getattr(model, "default_batch_size",
+                                                    DEFAULT_BATCH_SIZE))
     rng = np.random.default_rng(config.seed)
     pattern = config.pattern if config.pattern is not None else model.sparsity_hint()
     if pattern.dim != model.dim:
@@ -369,9 +402,6 @@ def fit(model, config: FitConfig) -> FitResult:
                          f"but the model has dimension {model.dim}")
     state = VariationalState.initial(pattern, config.init_mu, config.init_t_scale,
                                      config.adadelta_rho, config.adadelta_eps)
-    batch = config.batch_size
-    if batch is None and config.divergence in ALG2_DIVERGENCES:
-        batch = getattr(model, "default_batch_size", DEFAULT_BATCH_SIZE)
 
     lb_trace: list[float] = []
     window_sum = 0.0
@@ -383,7 +413,7 @@ def fit(model, config: FitConfig) -> FitResult:
 
     for it in range(1, config.max_iter + 1):
         try:
-            state, lb = step(state, model, config.divergence, batch, rng)
+            state, lb = step(state, model, config.divergence, config.batch_size, rng)
             last_lb = lb
             consecutive_rejects = 0
         except FloatingPointError as exc:
@@ -409,7 +439,7 @@ def fit(model, config: FitConfig) -> FitResult:
         lb_trace.append(window_sum / window_count)
 
     return FitResult(state, config.divergence, lb_trace, it, config.seed,
-                     stop_reason, rejected, {**config.echo(), "batch_size": batch})
+                     stop_reason, rejected, config.echo())
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,8 @@ class TargetModel(Protocol):
     and SV, the complex-step derivative of the score).  A wrong shape
     raises ValueError; non-finite values are computed through,
     not checked.  An optional `default_batch_size` attribute is the FDb/SDb
-    batch size when the fit config leaves it unset (else `fit` takes 5).
+    batch size when the fit config leaves it unset (else `fit` takes 5);
+    `fit` checks it as `FitConfig` checks a given batch size.
     """
 
     dim: int

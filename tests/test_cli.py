@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shutil
 
@@ -321,11 +322,57 @@ class TestFitCommand:
             for k in range(len(paths)):
                 shutil.rmtree(tmp_path / f"c{k}_out", ignore_errors=True)
             assert main(["sweep", *map(str, paths), *workers]) == 0
+            assert multiprocessing.active_children() == []
             lines = capsys.readouterr().out.splitlines()
             assert len(lines) == len(paths)
             for k, (path, line) in enumerate(zip(paths, lines)):
                 assert line.startswith(f"{path}: stop=")
                 assert outputs(tmp_path / f"c{k}_out") == expected[k]
+
+    def test_parallel_sweep_reports_a_failing_config_in_order(self, gaussian_setup, tmp_path,
+                                                              capsys):
+        # the middle config aborts in a worker; the others run, and every
+        # line comes out in config order
+        cfg, _, _ = gaussian_setup
+        paths = [tmp_path / name for name in ("good0.cfg", "bad.cfg", "good2.cfg")]
+        for path, tail in zip(paths, ("seed = 7\n", "init.t_scale = 1e-305\n", "seed = 3\n")):
+            path.write_text(cfg.read_text() + tail)
+        outputs = {}
+        for k, seed in ((0, "7"), (2, "3")):
+            out = tmp_path / f"fit{k}"
+            assert main(["fit", "--config", str(paths[k]), "--seed", seed, "--out", str(out)]) == 0
+            outputs[k] = [(out / name).read_bytes() for name in ("fitresult.json", "lb_trace.csv")]
+        capsys.readouterr()
+        assert main(["sweep", *map(str, paths), "--workers", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {paths[1]}: ") and "no step succeeded" in err
+        assert err.count("\n") == 1
+        assert [line.split(": stop=")[0] for line in out.splitlines()] == [str(paths[0]),
+                                                                          str(paths[2])]
+        for k, name in ((0, "good0_out"), (2, "good2_out")):
+            assert [(tmp_path / name / f).read_bytes()
+                    for f in ("fitresult.json", "lb_trace.csv")] == outputs[k]
+        assert not (tmp_path / "bad_out").exists()
+        assert multiprocessing.active_children() == []  # the pool joined its workers
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_rejects_a_second_config_with_the_same_output_dir(
+            self, gaussian_setup, tmp_path, capsys, workers):
+        # under a pool their writes would race, and fitresult.json and
+        # lb_trace.csv could come from different configs
+        cfg, _, _ = gaussian_setup
+        shared = tmp_path / "shared"
+        out_dirs = [shared, tmp_path / "own", tmp_path / "own" / ".." / "shared"]
+        paths = [tmp_path / f"c{k}.cfg" for k in range(3)]
+        for k, (path, out_dir) in enumerate(zip(paths, out_dirs)):
+            path.write_text(cfg.read_text() + f"seed = {k + 1}\noutput_dir = {out_dir}\n")
+        assert main(["sweep", *map(str, paths), "--workers", workers]) == 1
+        out, err = capsys.readouterr()
+        assert err == (f"error: {paths[2]}: output directory {out_dirs[2]} "
+                       f"is also that of {paths[0]}\n")
+        assert [line.split(": stop=")[0] for line in out.splitlines()] == [str(paths[0]),
+                                                                          str(paths[1])]
+        assert json.loads((shared / "fitresult.json").read_text())["seed"] == 1
 
     @pytest.mark.parametrize("command", ["fit", "sweep"])
     def test_unknown_key_rejected_before_fit(self, gaussian_setup, tmp_path, capsys, command):
@@ -501,6 +548,44 @@ class TestCompareCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: factor diagonal below")
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda doc: doc.pop("pattern"), "pattern"),
+        (lambda doc: doc.pop("mu"), "mu"),
+        (lambda doc: doc["pattern"].pop("block_dims"), "pattern"),
+        (lambda doc: doc["mu"].pop(), "mu"),
+        (lambda doc: doc["t_values"].append(0.5), "t_values"),
+        (lambda doc: doc["t_values"].__setitem__(1, float("nan")), "t_values"),
+        (lambda doc: doc["mu"].__setitem__(0, float("inf")), "mu"),
+        (lambda doc: doc.__setitem__("mu", "zeros"), "mu"),
+    ])
+    def test_bad_fitresult_is_one_error_line(self, gaussian_setup, tmp_path, capsys, edit, key):
+        # a document without "pattern" escaped as a KeyError traceback
+        cfg, _, _ = gaussian_setup
+        out = tmp_path / "fitout"
+        assert main(["fit", "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 0
+        path = out / "fitresult.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["compare", "--fit", str(path), "--ref", "ref.csv", "--seed", "3",
+                   "--out", str(tmp_path / "cmp")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and f"'{key}'" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]", "\xff"])
+    def test_fitresult_that_is_no_json_object_reported(self, tmp_path, capsys, text):
+        path = tmp_path / "fitresult.json"
+        path.write_bytes(text.encode("latin-1"))
+        rc = main(["compare", "--fit", str(path), "--ref", "ref.csv", "--seed", "3",
+                   "--out", str(tmp_path / "cmp")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
 
 class TestAnalysisCommands:
     def test_meanfield_command(self, tmp_path):
@@ -620,6 +705,7 @@ class TestAnalysisCommands:
     @pytest.mark.parametrize("flag, value", [
         ("--region-step", "0"), ("--region-step", "-0.5"), ("--region-step", "2.5"),
         ("--t-max", "0"), ("--dim", "0"), ("--draws", "1"), ("--replicates", "1"),
+        ("--workers", "0"), ("--workers", "-1"),
     ])
     def test_numeric_flag_out_of_range_is_usage_error(self, flag, value, tmp_path, capsys):
         # rejected by argparse before any work: exit status 2, usage, no output dir
@@ -629,6 +715,7 @@ class TestAnalysisCommands:
             "--dim": ["recursion"],
             "--draws": ["gradvar"],
             "--replicates": ["compare", "--fit", "fit.json", "--ref", "ref.csv", "--seed", "1"],
+            "--workers": ["sweep", "run.cfg"],
         }[flag]
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:

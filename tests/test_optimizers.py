@@ -529,6 +529,21 @@ class TestFit:
         fit(sv, cfg)
         assert cfg.batch_size is None  # resolved without writing it into the config
 
+    @pytest.mark.parametrize("divergence", ["FDb", "SDb"])
+    def test_target_default_batch_held_to_fit_config_rule(self, divergence):
+        # a target default of 1 ran Algorithm 2 with B=1 and echoed it,
+        # where FitConfig(divergence, batch_size=1) is rejected
+        class OneDrawTarget(GaussianTarget):
+            default_batch_size = 1
+
+        target = OneDrawTarget(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError) as given:
+            FitConfig(divergence, seed=0, batch_size=1)
+        with pytest.raises(ValueError) as resolved:
+            fit(target, FitConfig(divergence, seed=0, max_iter=2, window=1))
+        assert str(resolved.value) == str(given.value)
+        assert f"batch_size must be at least 2 for {divergence}" in str(given.value)
+
     def test_lower_bound_estimate(self, rng):
         # at q = p the one-sample lower bound equals log p(y) = 0 for a
         # normalized Gaussian target, for every draw
